@@ -17,7 +17,6 @@ as regressions (see ``is_node_column``), not as timing noise.
 """
 
 import random
-import time
 
 import numpy as np
 
@@ -238,50 +237,26 @@ def test_ctl_negation_mc(benchmark, results_collector):
 
 
 # ----------------------------------------------------------------------
-# Frontier-batched apply: scalar-vs-batched construction rows
+# Construction throughput: table rows and fused relational products
 # ----------------------------------------------------------------------
 #
-# Two workloads from the batched-apply engine's target consumers:
-# table-row conjunct construction (``encode``) and fused relational
-# products (``and_exists_many``).  Each workload is measured once per
-# ``batch_apply`` setting on otherwise identical inputs; the node
-# columns are deterministic and *must* agree between the paired rows
-# (``compare.py`` gates them, and the batched rows assert parity with a
-# scalar rerun inline so a divergence fails the bench itself).
+# Two construction workloads from the engine's hot consumers: table-row
+# conjunct construction (``encode``) and fused relational products
+# (``and_exists``).  The node columns are deterministic, so
+# ``compare.py`` gates them as regressions, not as timing noise.
 
 
-def _encode_workload(batch_apply: bool):
+def test_table_encode_scalar(benchmark, results_collector):
+    """Table-row conjunct construction on the gcd gallery design."""
     flat = get_spec("gcd").flat()
     n_rows = sum(len(t.rows) for t in flat.tables)
 
     def run():
-        return encode(flat, batch_apply=batch_apply)
+        return encode(flat)
 
-    return flat, n_rows, run
-
-
-def test_table_encode_scalar(benchmark, results_collector):
-    """Table-row conjunct construction with the scalar apply path."""
-    _flat, n_rows, run = _encode_workload(False)
     run()  # warm-up: lazy imports and allocator pools skew round one
     enc = benchmark.pedantic(run, rounds=3, iterations=1)
     results_collector("kernel", "table_encode_scalar", {
-        "seconds": benchmark.stats["mean"],
-        "rows_per_s": round(n_rows / benchmark.stats["mean"], 0),
-        "final_nodes": len(enc.bdd),
-    })
-
-
-def test_table_encode_batched(benchmark, results_collector):
-    """The same encode through the frontier-batched apply engine."""
-    _flat, n_rows, run = _encode_workload(True)
-    run()  # warm-up: lazy imports and allocator pools skew round one
-    enc = benchmark.pedantic(run, rounds=3, iterations=1)
-    # Construction-order independence: batched and scalar encodes build
-    # the same canonical functions, hence the same node count.
-    _f2, _n2, run_scalar = _encode_workload(False)
-    assert len(run_scalar().bdd) == len(enc.bdd)
-    results_collector("kernel", "table_encode_batched", {
         "seconds": benchmark.stats["mean"],
         "rows_per_s": round(n_rows / benchmark.stats["mean"], 0),
         "final_nodes": len(enc.bdd),
@@ -293,15 +268,9 @@ ANDEX_OPS = 300
 ANDEX_REQS = 128
 
 
-def _andex_workload(batch_apply: bool):
-    """A fresh manager plus ``ANDEX_REQS`` relational-product requests.
-
-    The request pool is grown with scalar connectives only (identical
-    handles under either knob); ``and_exists_many`` then either runs
-    the batched wave engine or loops the scalar recursion, which is
-    exactly the knob under measurement.
-    """
-    bdd = BDD(batch_apply=batch_apply)
+def _andex_workload():
+    """A fresh manager plus ``ANDEX_REQS`` relational-product requests."""
+    bdd = BDD()
     for j in range(ANDEX_VARS):
         bdd.add_var(f"v{j}")
     rng = random.Random(11)
@@ -327,68 +296,26 @@ def _andex_workload(batch_apply: bool):
     return bdd, requests
 
 
-def _andex_result_nodes(bdd: BDD, results) -> int:
-    return sum(bdd.size(r) for r in results)
-
-
 def test_andexists_scalar(benchmark, results_collector):
-    """128 relational products through the scalar recursion."""
+    """128 relational products through the and-exists recursion."""
     meta = {}
 
     def setup():
         # A fresh manager per round: a warm computed cache would turn
         # later rounds into pure lookups and fake the throughput.
-        bdd, requests = _andex_workload(False)
+        bdd, requests = _andex_workload()
         meta["bdd"] = bdd
         return (bdd, requests), {}
 
     def run(bdd, requests):
-        meta["results"] = bdd.and_exists_many(requests)
+        meta["results"] = [bdd.and_exists(f, g, c) for f, g, c in requests]
 
     benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    bdd = meta["bdd"]
     results_collector("kernel", "andexists_scalar", {
         "seconds": benchmark.stats["mean"],
         "andex_per_s": round(ANDEX_REQS / benchmark.stats["mean"], 0),
-        "result_nodes": _andex_result_nodes(meta["bdd"], meta["results"]),
-    })
-
-
-def test_andexists_batched(benchmark, results_collector):
-    """The same 128 products as one frontier-batched wave.
-
-    Inline acceptance gates: the batched results must match the scalar
-    rerun node for node, and the wave engine must clear a 1.5x
-    throughput margin over the scalar loop on identical inputs (both
-    sides timed in this same process, so machine speed cancels out).
-    """
-    meta = {}
-
-    def setup():
-        bdd, requests = _andex_workload(True)
-        meta["bdd"] = bdd
-        return (bdd, requests), {}
-
-    def run(bdd, requests):
-        meta["results"] = bdd.and_exists_many(requests)
-
-    benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    batched_nodes = _andex_result_nodes(meta["bdd"], meta["results"])
-
-    scalar_seconds = []
-    for _ in range(3):
-        bdd, requests = _andex_workload(False)
-        t0 = time.perf_counter()
-        results = bdd.and_exists_many(requests)
-        scalar_seconds.append(time.perf_counter() - t0)
-    assert _andex_result_nodes(bdd, results) == batched_nodes
-    speedup = min(scalar_seconds) / min(benchmark.stats["data"])
-    assert speedup >= 1.5, (
-        f"batched and-exists only {speedup:.2f}x over scalar"
-    )
-    results_collector("kernel", "andexists_batched", {
-        "seconds": benchmark.stats["mean"],
-        "andex_per_s": round(ANDEX_REQS / benchmark.stats["mean"], 0),
-        "result_nodes": batched_nodes,
+        "result_nodes": sum(bdd.size(r) for r in meta["results"]),
     })
 
 

@@ -8,7 +8,7 @@ Public surface:
   multi-valued variables log-encoded onto boolean BDD variables, as
   required by BLIF-MV's multi-valued tables.
 * :mod:`repro.bdd.ordering` — static variable-ordering heuristics for
-  interacting FSMs and rebuild-based reordering/sifting.
+  interacting FSMs and in-place Rudell sifting.
 * :mod:`repro.bdd.dump` — Graphviz export and statistics.
 """
 

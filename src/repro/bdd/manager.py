@@ -42,8 +42,6 @@ makes in-place level swaps (sifting) safe under this encoding.
 
 from __future__ import annotations
 
-import os
-
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,7 +139,6 @@ class BDD:
         auto_gc: Optional[int] = None,
         cache_limit: Optional[int] = None,
         auto_reorder: Optional[int] = None,
-        batch_apply: Optional[bool] = None,
     ) -> None:
         if auto_gc is not None and auto_gc < 1:
             raise BddError("auto_gc threshold must be positive (or None)")
@@ -217,16 +214,6 @@ class BDD:
         # O(1) negation / ITE standardization telemetry.
         self.not_calls = 0
         self.std_rewrites = 0
-        # Frontier-batched apply knob (see repro.bdd.batch) + telemetry.
-        if batch_apply is None:
-            batch_apply = os.environ.get("HSIS_BATCH_APPLY", "1") != "0"
-        self.batch_apply = bool(batch_apply)
-        self.batch_calls = 0
-        self.batch_requests = 0
-        self.batch_scalar_requests = 0
-        self.batch_frontiers = 0
-        self.batch_frontier_nodes = 0
-        self.batch_max_width = 0
         # op -> [lookups, hits] for the computed cache.
         self._op_stats: Dict[str, List[int]] = {op: [0, 0] for op in CACHED_OPS}
         # Structured event sink (GC sweeps, reorders, compactions).
@@ -551,17 +538,18 @@ class BDD:
         """Install a new variable order.
 
         Every declared variable must appear exactly once.  Existing node
-        handles are *not* remapped: callers should re-derive functions or
-        use :meth:`repro.bdd.ordering.reorder` which rebuilds registered
-        roots under the new order.  This method is only safe when the
-        manager holds no live nodes besides constants.
+        handles are *not* remapped, so this is only allowed while the
+        manager holds no live nodes besides constants.  To change the
+        order of a populated manager, sift it in place with
+        :meth:`reorder_now` (or arm ``auto_reorder``), which keeps every
+        root handle valid.
         """
         if sorted(order) != list(range(self.var_count)):
             raise BddError("new order must be a permutation of all variables")
         if len(self) > 2:
             raise BddError(
                 "set_order on a non-empty manager would break canonicity; "
-                "use repro.bdd.ordering.reorder instead"
+                "use reorder_now() to sift in place instead"
             )
         self._var_at_level = list(order)
         for lvl, v in enumerate(self._var_at_level):
@@ -911,138 +899,6 @@ class BDD:
             if res == TRUE:
                 return TRUE
         return res
-
-    # ------------------------------------------------------------------
-    # Frontier-batched apply (see repro.bdd.batch)
-    # ------------------------------------------------------------------
-
-    #: apply_many op name -> ((f, g) -> standardized ite triple, stat op).
-    _APPLY_TRIPLES = {
-        "and": (lambda f, g: (f, g, FALSE), "and"),
-        "or": (lambda f, g: (f, TRUE, g), "or"),
-        "xor": (lambda f, g: (f, g ^ 1, g), "xor"),
-        "xnor": (lambda f, g: (f, g, g ^ 1), "xor"),
-        "implies": (lambda f, g: (f, g, TRUE), "or"),
-        "diff": (lambda f, g: (f, g ^ 1, FALSE), "and"),
-    }
-
-    def _use_batch(self, n: int) -> bool:
-        # Single requests stay scalar: they keep the short-circuit wins
-        # and skip the numpy marshalling overhead.
-        if self.batch_apply and n >= 2:
-            return True
-        self.batch_scalar_requests += n
-        return False
-
-    def ite_many(self, triples: Iterable[Tuple[int, int, int]]) -> List[int]:
-        """Batched :meth:`ite` over many ``(f, g, h)`` triples.
-
-        With ``batch_apply`` on, all requests expand breadth-first as
-        shared per-level frontiers (one vectorized cache probe and one
-        batched unique-table find-or-create per level) and the results
-        are handle-identical to looping :meth:`ite`.  With the knob off
-        (or a single request) this is exactly that loop.
-        """
-        reqs = [(f, g, h) for f, g, h in triples]
-        if not self._use_batch(len(reqs)):
-            st = self._op_stats["ite"]
-            return [self._ite(f, g, h, st) for f, g, h in reqs]
-        from repro.bdd import batch
-
-        return batch.ite_many(self, reqs, "ite")
-
-    def apply_many(
-        self, op: str, pairs: Iterable[Tuple[int, int]]
-    ) -> List[int]:
-        """Batched binary connective over many ``(f, g)`` pairs.
-
-        ``op`` is one of ``and``/``or``/``xor``/``xnor``/``implies``/
-        ``diff``; each pair maps to its standardized ite triple so all
-        ops share the scalar path's cache lines.
-        """
-        try:
-            to_triple, stat_op = self._APPLY_TRIPLES[op]
-        except KeyError:
-            raise BddError(f"apply_many does not support op {op!r}") from None
-        reqs = [to_triple(f, g) for f, g in pairs]
-        if not self._use_batch(len(reqs)):
-            st = self._op_stats[stat_op]
-            return [self._ite(f, g, h, st) for f, g, h in reqs]
-        from repro.bdd import batch
-
-        return batch.ite_many(self, reqs, stat_op)
-
-    def and_exists_many(
-        self, requests: Iterable[Tuple[int, int, object]]
-    ) -> List[int]:
-        """Batched fused relational products ``exists vars . f & g``.
-
-        Each request is ``(f, g, cube_or_variables)``; whole image
-        schedule steps issue as one call so the and-exists recursion
-        runs as shared per-level frontiers.
-        """
-        reqs = [
-            (f, g, c if isinstance(c, int) else self.cube(c))
-            for f, g, c in requests
-        ]
-        if not self._use_batch(len(reqs)):
-            return [self._and_exists(f, g, c) for f, g, c in reqs]
-        from repro.bdd import batch
-
-        return batch.and_exists_many(self, reqs)
-
-    def rename_many(
-        self,
-        fs: Sequence[int],
-        mapping: Dict[int, int],
-        strict: bool = True,
-    ) -> List[int]:
-        """Batched :meth:`rename` of many roots under one mapping.
-
-        The n-ary entry point for shared-shape instantiation replay:
-        all roots traverse as one frontier so isomorphic conjuncts share
-        every cache probe and node build.  Falls back to
-        :meth:`vector_compose_many` for *all* roots when the mapping is
-        order-violating and ``strict`` is False (mirroring
-        :meth:`rename`).
-        """
-        roots = list(fs)
-        if not mapping:
-            return roots
-        pairs = sorted(mapping.items(), key=lambda kv: self._level_of_var[kv[0]])
-        images = [self._level_of_var[v] for _, v in pairs]
-        if images == sorted(images):
-            map_id = self._map_id(("rename",) + tuple(sorted(mapping.items())))
-            try:
-                if not self._use_batch(len(roots)):
-                    return [self._rename(f, mapping, map_id) for f in roots]
-                from repro.bdd import batch
-
-                return batch.rename_many(self, roots, mapping, map_id)
-            except BddError:
-                if strict:
-                    raise
-        elif strict:
-            raise BddError("rename mapping must preserve the variable order")
-        return self.vector_compose_many(
-            roots, {v: self.var(nv) for v, nv in mapping.items()}
-        )
-
-    def vector_compose_many(
-        self, fs: Sequence[int], substitution: Dict[int, int]
-    ) -> List[int]:
-        """Batched simultaneous substitution over many roots."""
-        roots = list(fs)
-        if not substitution:
-            return roots
-        map_id = self._map_id(
-            ("vcomp",) + tuple(sorted(substitution.items()))
-        )
-        if not self._use_batch(len(roots)):
-            return [self._vcompose(f, substitution, map_id) for f in roots]
-        from repro.bdd import batch
-
-        return batch.vcompose_many(self, roots, substitution, map_id)
 
     # ------------------------------------------------------------------
     # Quantification and relational product
@@ -2347,12 +2203,6 @@ class BDD:
             "reorder_runs": self.reorder_count,
             "reorder_swaps": self.sift_swaps,
             "reorder_fast_swaps": self.sift_fast_swaps,
-            "batch_calls": self.batch_calls,
-            "batch_requests": self.batch_requests,
-            "batch_scalar_requests": self.batch_scalar_requests,
-            "batch_frontiers": self.batch_frontiers,
-            "batch_frontier_nodes": self.batch_frontier_nodes,
-            "batch_max_width": self.batch_max_width,
         }
 
 

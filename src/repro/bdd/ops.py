@@ -1,96 +1,15 @@
 """Secondary BDD operations built on the manager primitives.
 
 These helpers are shared by the network/verification layers: cube
-arithmetic, cross-manager transfer, and small conveniences that do not
-need access to manager internals beyond its public API.
+arithmetic and small conveniences that do not need access to manager
+internals beyond its public API.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence
 
-import numpy as np
-
-from repro.bdd.manager import BDD, FALSE, TRUE
-
-
-def transfer(f: int, src: BDD, dst: BDD, var_map: Dict[int, int]) -> int:
-    """Copy function ``f`` from manager ``src`` into manager ``dst``.
-
-    ``var_map`` maps source variable indices to destination variable
-    indices.  The destination order may be arbitrary: the copy is done by
-    Shannon expansion in destination order via ``ite``, so the result is
-    canonical in ``dst``.  This is the basis of rebuild-based reordering.
-
-    When the destination manager has ``batch_apply`` on, the copy runs
-    level-by-level over the *source* DAG: one ``ite_many`` frontier per
-    source level (children are always at deeper levels, so a bottom-up
-    sweep resolves every node in ``depth`` batched calls).
-    """
-    if f < 2:
-        return f
-    if dst.batch_apply:
-        return _transfer_batched(f, src, dst, var_map)
-    # Explicit-stack postorder over *regular* source indices; complement
-    # edges transfer for free (dst is complement-edged too), so a handle
-    # maps to ``memo[index] ^ complement``.  Terminal handles are shared
-    # constants in both managers.
-    memo: Dict[int, int] = {}
-    root = f >> 1
-    stack = [(root, False)]
-    while stack:
-        idx, ready = stack.pop()
-        if idx in memo:
-            continue
-        if not ready:
-            stack.append((idx, True))
-            for child in (src._lo[idx], src._hi[idx]):
-                ci = child >> 1
-                if ci and ci not in memo:
-                    stack.append((ci, False))
-            continue
-        lo_h = src._lo[idx]
-        hi_h = src._hi[idx]
-        lo = (memo[lo_h >> 1] ^ (lo_h & 1)) if lo_h >= 2 else lo_h
-        hi = (memo[hi_h >> 1] ^ (hi_h & 1)) if hi_h >= 2 else hi_h
-        memo[idx] = dst.ite(dst.var(var_map[src._var[idx]]), hi, lo)
-    return memo[root] ^ (f & 1)
-
-
-def _transfer_batched(f: int, src: BDD, dst: BDD, var_map: Dict[int, int]) -> int:
-    """Frontier-batched :func:`transfer` (one ``ite_many`` per src level)."""
-    lo_np, hi_np, var_np = src._lo_np, src._hi_np, src._var_np
-    n = src._n
-    reach = np.zeros(n, dtype=bool)
-    frontier = np.asarray([f >> 1], dtype=np.int64)
-    while frontier.size:
-        reach[frontier] = True
-        kids = np.unique(np.concatenate(
-            (lo_np[frontier] >> 1, hi_np[frontier] >> 1)
-        ))
-        kids = kids[kids != 0]
-        frontier = kids[~reach[kids]]
-    reach[0] = False
-    idxs = np.flatnonzero(reach)
-    lvl_of = np.asarray(src._level_of_var, dtype=np.int64)
-    order = np.argsort(lvl_of[var_np[idxs]], kind="stable")
-    idxs = idxs[order]
-    lvls = lvl_of[var_np[idxs]]
-    bounds = np.flatnonzero(lvls[1:] != lvls[:-1]) + 1
-    starts = np.concatenate((np.zeros(1, dtype=np.int64), bounds))
-    ends = np.concatenate((bounds, np.asarray([lvls.size], dtype=np.int64)))
-    memo = np.zeros(n, dtype=np.int64)  # unused rows stay at TRUE
-    for s, e in zip(starts[::-1], ends[::-1]):  # deepest level first
-        group = idxs[s:e]
-        dvar = dst.var(var_map[int(var_np[group[0]])])
-        lo_h = lo_np[group]
-        hi_h = hi_np[group]
-        lo_m = np.where(lo_h >= 2, memo[lo_h >> 1] ^ (lo_h & 1), lo_h)
-        hi_m = np.where(hi_h >= 2, memo[hi_h >> 1] ^ (hi_h & 1), hi_h)
-        memo[group] = dst.ite_many(
-            list(zip([dvar] * int(group.size), hi_m.tolist(), lo_m.tolist()))
-        )
-    return int(memo[f >> 1]) ^ (f & 1)
+from repro.bdd.manager import BDD
 
 
 def cube_union_vars(bdd: BDD, cubes: Iterable[int]) -> int:

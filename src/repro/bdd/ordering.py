@@ -1,4 +1,4 @@
-"""Static variable-ordering heuristics and rebuild-based reordering.
+"""Static variable-ordering heuristics and in-place dynamic reordering.
 
 HSIS derives its BDD variable order from the structure of the interacting
 FSM network (footnote 1 of the paper cites Aziz-Tasiran-Brayton, "BDD
@@ -15,22 +15,18 @@ The affinity-based linear arrangement below is the classic greedy
 approximation: repeatedly append the variable with the largest total edge
 weight to the already-placed prefix.
 
-Dynamic reordering comes in two forms:
-
-* *rebuild* (``reorder``/``sift``): a new manager is created with the
-  candidate order and all live roots are transferred
-  (:func:`repro.bdd.ops.transfer`).  Simple and safe, but handles from
-  the old manager die with it.
-* *in place* (``sift_in_place``): classic Rudell sifting over adjacent
-  level swaps inside one manager.  Node indices — and therefore every
-  registered root handle — stay valid, which is what lets the manager's
-  ``auto_reorder`` knob run it at GC safe points.  A variable-interaction
-  matrix turns swaps of non-interacting levels into pure bookkeeping,
-  and a lower-bound estimate skips whole directions that cannot beat the
-  best size already found.  Each swap snapshots the upper level straight
-  off the manager's flat ``var`` column (one vectorized scan) and
-  relabels nodes in place in the array store; per-level populations are
-  O(1) counter reads, so the lower bound costs nothing to evaluate.
+Dynamic reordering is classic Rudell sifting over adjacent level swaps
+inside one manager (``sift_in_place``).  Node indices — and therefore
+every registered root handle — stay valid, which is what lets the
+manager run it at GC safe points, armed by its ``auto_reorder`` knob or
+forced with :meth:`repro.bdd.manager.BDD.reorder_now`.  A
+variable-interaction matrix turns swaps of non-interacting levels into
+pure bookkeeping, and a lower-bound estimate skips whole directions that
+cannot beat the best size already found.  Each swap snapshots the upper
+level straight off the manager's flat ``var`` column (one vectorized
+scan) and relabels nodes in place in the array store; per-level
+populations are O(1) counter reads, so the lower bound costs nothing to
+evaluate.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bdd.manager import BDD
-from repro.bdd.ops import transfer
 
 
 def validate_permutation(
@@ -158,40 +153,6 @@ def interacting_fsm_order(
     return order
 
 
-def reorder(
-    src: BDD, new_order: Sequence[int], roots: Mapping[str, int]
-) -> Tuple[BDD, Dict[str, int]]:
-    """Rebuild ``roots`` in a fresh manager using ``new_order``.
-
-    ``new_order`` lists source variable indices from top to bottom; it
-    must cover every declared variable.  Variable *names* (and indices)
-    are preserved in the new manager so callers can keep using the same
-    identifiers.  Returns ``(new_manager, new_roots)``.
-    """
-    if sorted(new_order) != list(range(src.var_count)):
-        raise ValueError("new_order must be a permutation of all variables")
-    dst = BDD()
-    dst.tracer = src.tracer  # keep the trace timeline across rebuilds
-    # Declare variables with identical indices (declaration order), then
-    # install the requested order.
-    for var in range(src.var_count):
-        dst.add_var(src.var_name(var))
-    dst.set_order(list(new_order))
-    identity = {v: v for v in range(src.var_count)}
-    new_roots = {name: transfer(f, src, dst, identity) for name, f in roots.items()}
-    for name, f in new_roots.items():
-        dst.register_root(name, f)
-    return dst, new_roots
-
-
-def shared_size_under(
-    src: BDD, new_order: Sequence[int], roots: Mapping[str, int]
-) -> int:
-    """Shared node count of ``roots`` if rebuilt under ``new_order``."""
-    dst, new_roots = reorder(src, new_order, roots)
-    return dst.size(list(new_roots.values()))
-
-
 def population_order(src: BDD) -> List[int]:
     """Variables sorted by live node population, most populous first.
 
@@ -204,51 +165,6 @@ def population_order(src: BDD) -> List[int]:
         range(src.var_count),
         key=lambda v: (-src.var_population(v), src.level(v)),
     )
-
-
-def sift(
-    src: BDD,
-    roots: Mapping[str, int],
-    max_rounds: int = 1,
-    candidates_per_var: int = 4,
-) -> Tuple[BDD, Dict[str, int]]:
-    """Search single-variable moves to shrink the shared size of ``roots``.
-
-    A budgeted variant of Rudell sifting over the rebuild evaluator: for
-    each variable (most-populous first) a handful of target positions are
-    tried and the best kept.  Returns the best ``(manager, roots)`` found
-    (possibly the input, transferred unchanged).
-    """
-    order = list(src.order)
-    best_size = shared_size_under(src, order, roots)
-    nvars = len(order)
-    with src.tracer.span(
-        "bdd.sift", cat="bdd", variables=nvars, start_size=best_size
-    ) as span:
-        for _ in range(max_rounds):
-            improved = False
-            for var in population_order(src):
-                pos = order.index(var)
-                step = max(1, nvars // (candidates_per_var + 1))
-                targets = {0, nvars - 1, max(0, pos - step), min(nvars - 1, pos + step)}
-                targets.discard(pos)
-                for target in sorted(targets):
-                    candidate = list(order)
-                    candidate.remove(var)
-                    candidate.insert(target, var)
-                    size = shared_size_under(src, candidate, roots)
-                    if size < best_size:
-                        src.tracer.instant(
-                            "bdd.sift_move", cat="bdd",
-                            var=src.var_name(var), to=target, size=size,
-                        )
-                        best_size = size
-                        order = candidate
-                        improved = True
-            if not improved:
-                break
-        span.add(final_size=best_size)
-    return reorder(src, order, roots)
 
 
 # ----------------------------------------------------------------------

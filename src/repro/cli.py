@@ -51,12 +51,10 @@ class HsisShell:
         auto_reorder: Optional[int] = None,
         show_stats: bool = False,
         tracer: Optional[Tracer] = None,
-        batch_apply: Optional[bool] = None,
     ) -> None:
         self.auto_gc = auto_gc
         self.cache_limit = cache_limit
         self.auto_reorder = auto_reorder
-        self.batch_apply = batch_apply
         self.show_stats = show_stats
         self.tracer = tracer
         self.design = None
@@ -118,7 +116,6 @@ class HsisShell:
         return SymbolicFsm(
             flat, auto_gc=self.auto_gc, cache_limit=self.cache_limit,
             auto_reorder=self.auto_reorder, tracer=self.tracer,
-            batch_apply=self.batch_apply,
         )
 
     def _after_load(self) -> str:
@@ -497,8 +494,7 @@ class HsisShell:
             seed0 = int(args[1]) if len(args) > 1 else 0
         except ValueError as exc:
             raise CliError(f"fuzz: bad number: {exc}")
-        sweep = run_sweep(trials, seed0=seed0, auto_reorder=self.auto_reorder,
-                          batch_apply=self.batch_apply)
+        sweep = run_sweep(trials, seed0=seed0, auto_reorder=self.auto_reorder)
         return sweep.summary()
 
     def cmd_help(self, args: List[str]) -> str:
@@ -603,18 +599,6 @@ def _fuzz_main(argv: List[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--batch-apply", dest="batch_apply", action="store_true",
-        default=None,
-        help=(
-            "force the frontier-batched apply engine on in every engine "
-            "under test (default: on unless HSIS_BATCH_APPLY=0)"
-        ),
-    )
-    parser.add_argument(
-        "--no-batch-apply", dest="batch_apply", action="store_false",
-        help="run every engine under test on the scalar reference path",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help=(
             "record a structured event trace (.jsonl, .txt summary, or "
@@ -645,7 +629,6 @@ def _fuzz_main(argv: List[str]) -> int:
             auto_reorder=opts.auto_reorder,
             portfolio=opts.portfolio,
             shared_shapes=opts.shared_shapes,
-            batch_apply=opts.batch_apply,
         )
     else:
         sweep = run_sweep(
@@ -658,7 +641,6 @@ def _fuzz_main(argv: List[str]) -> int:
             auto_reorder=opts.auto_reorder,
             portfolio=opts.portfolio,
             shared_shapes=opts.shared_shapes,
-            batch_apply=opts.batch_apply,
         )
     print(sweep.summary())
     if opts.stats:
@@ -723,14 +705,6 @@ def _check_main(argv: List[str]) -> int:
         help="always encode every instance's tables from scratch",
     )
     parser.add_argument(
-        "--no-batch-apply", dest="batch_apply", action="store_false",
-        default=None,
-        help=(
-            "build every BDD on the scalar reference path instead of the "
-            "frontier-batched apply engine"
-        ),
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print aggregate engine statistics after the run",
     )
@@ -787,7 +761,6 @@ def _check_main(argv: List[str]) -> int:
             jobs=opts.jobs,
             stats=stats,
             timeout=opts.timeout,
-            batch_apply=opts.batch_apply,
         )
     for verdict in verdicts:
         print(verdict.format())
@@ -905,14 +878,6 @@ def _profile_main(argv: List[str]) -> int:
         help="always encode every instance's tables from scratch",
     )
     parser.add_argument(
-        "--no-batch-apply", dest="batch_apply", action="store_false",
-        default=None,
-        help=(
-            "build every BDD on the scalar reference path instead of the "
-            "frontier-batched apply engine"
-        ),
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="also write the raw trace (.jsonl / .txt / Chrome JSON)",
     )
@@ -925,8 +890,7 @@ def _profile_main(argv: List[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     tracer = Tracer()
-    fsm = SymbolicFsm(flat, tracer=tracer, auto_reorder=opts.auto_reorder,
-                      batch_apply=opts.batch_apply)
+    fsm = SymbolicFsm(flat, tracer=tracer, auto_reorder=opts.auto_reorder)
     if not opts.partitioned:
         fsm.build_transition(method=opts.method)
     reach = fsm.reachable(partitioned=opts.partitioned)
@@ -1112,12 +1076,6 @@ def _client_main(argv: List[str]) -> int:
         p.add_argument("--no-shared-shapes", dest="shared_shapes",
                        action="store_false",
                        help="force shared-shape encoding off")
-        p.add_argument("--batch-apply", dest="batch_apply",
-                       action="store_true", default=None,
-                       help="force the frontier-batched apply engine on")
-        p.add_argument("--no-batch-apply", dest="batch_apply",
-                       action="store_false",
-                       help="force the scalar apply reference path")
     p_check.add_argument("--cache-limit", type=_positive_int, default=None,
                          metavar="N")
     p_check.add_argument("--auto-gc", type=_positive_int, default=None,
@@ -1174,8 +1132,6 @@ def _client_main(argv: List[str]) -> int:
                         knobs["auto_reorder"] = opts.auto_reorder
             if opts.shared_shapes is not None:
                 knobs["shared_shapes"] = opts.shared_shapes
-            if opts.batch_apply is not None:
-                knobs["batch_apply"] = opts.batch_apply
             on_event = None
             if opts.stream:
                 def on_event(line):
@@ -1236,15 +1192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-batch-apply", dest="batch_apply", action="store_false",
-        default=None,
-        help=(
-            "build every BDD on the scalar reference path instead of the "
-            "frontier-batched apply engine (default: batched unless "
-            "HSIS_BATCH_APPLY=0)"
-        ),
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help=(
             "record a structured event trace of every engine run "
@@ -1259,7 +1206,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         auto_reorder=opts.auto_reorder,
         show_stats=opts.stats,
         tracer=tracer,
-        batch_apply=opts.batch_apply,
     )
     if opts.script:
         try:

@@ -23,7 +23,7 @@ from repro.bdd.mdd import MddManager, MvVar
 from repro.bdd.ordering import affinity_order, validate_permutation
 from repro.blifmv.ast import Any_, BlifMvError, Eq, Model, Table, ValueSet
 from repro.blifmv.hierarchy import Elaboration, InstanceInfo
-from repro.network.quantify import Conjunct
+from repro.network.quantify import Conjunct, tree_reduce
 
 NEXT_SUFFIX = "#n"
 
@@ -96,7 +96,6 @@ def encode(
     order: Optional[List[str]] = None,
     elaboration: Optional[Elaboration] = None,
     stats=None,
-    batch_apply: Optional[bool] = None,
 ) -> EncodedNetwork:
     """Encode a flat model (no subcircuits) into an :class:`EncodedNetwork`.
 
@@ -106,10 +105,8 @@ def encode(
     the model's declared variables (the ordering portfolio races such
     candidates; see :mod:`repro.ordering_portfolio`) — latch outputs in
     the order still get their present/next bits interleaved.  ``auto_gc``,
-    ``cache_limit``, ``auto_reorder`` and ``batch_apply`` configure the
-    kernel's self-management knobs (see :class:`repro.bdd.manager.BDD`;
-    ``batch_apply`` routes table-row conjunct building and shared-shape
-    instantiation through the frontier-batched apply engine).
+    ``cache_limit`` and ``auto_reorder`` configure the kernel's
+    self-management knobs (see :class:`repro.bdd.manager.BDD`).
 
     ``elaboration`` (from :func:`repro.blifmv.elaborate`) switches on
     shared-shape encoding: table conjuncts are built once per distinct
@@ -143,12 +140,7 @@ def encode(
         raise ValueError(f"unknown order_method {order_method!r}")
 
     mdd = MddManager(
-        BDD(
-            auto_gc=auto_gc,
-            cache_limit=cache_limit,
-            auto_reorder=auto_reorder,
-            batch_apply=batch_apply,
-        )
+        BDD(auto_gc=auto_gc, cache_limit=cache_limit, auto_reorder=auto_reorder)
     )
     latch_of_output = {l.output: l for l in model.latches}
     variables: Dict[str, MvVar] = {}
@@ -384,14 +376,10 @@ def _encode_tables_shared(
                 continue
             for rep_bit, inst_bit in zip(rep_var.bits, inst_var.bits):
                 mapping[rep_bit] = inst_bit
-        # One n-ary batched rename per instance: every conjunct of the
-        # representative replays through a single shared frontier (the
-        # PR 9 follow-up's shape-aware fast path).
-        nodes[lo:hi] = bdd.rename_many(
-            [nodes[ri] for ri in range(rep.tables[0], rep.tables[1])],
-            mapping,
-            strict=False,
-        )
+        nodes[lo:hi] = [
+            bdd.rename(nodes[ri], mapping, strict=False)
+            for ri in range(rep.tables[0], rep.tables[1])
+        ]
         instances_substituted += 1
         if stats is not None:
             stats.tracer.instant(
@@ -454,48 +442,16 @@ def _synchrony_conditions(
     return conditions
 
 
-def _reduce_each(bdd: BDD, op: str, lists: List[List[int]]) -> List[int]:
-    """Tree-reduce every operand list to one handle, batching across lists.
-
-    Each round pairs adjacent operands within every list and issues all
-    pairs as one :meth:`BDD.apply_many` frontier, so N rows reduce in
-    ``ceil(log2(width))`` batched calls instead of ``N * width`` scalar
-    ones.  Empty lists reduce to the operator identity.
-    """
-    identity = bdd.true if op == "and" else bdd.false
-    pending = [list(l) for l in lists]
-    while True:
-        pairs: List[Tuple[int, int]] = []
-        slots: List[Tuple[int, int]] = []
-        nxt: List[List[int]] = []
-        for i, l in enumerate(pending):
-            nl: List[int] = []
-            j = 0
-            while j + 1 < len(l):
-                slots.append((i, len(nl)))
-                pairs.append((l[j], l[j + 1]))
-                nl.append(-1)
-                j += 2
-            if j < len(l):
-                nl.append(l[j])
-            nxt.append(nl)
-        if not pairs:
-            return [l[0] if l else identity for l in pending]
-        for (i, p), r in zip(slots, bdd.apply_many(op, pairs)):
-            nxt[i][p] = r
-        pending = nxt
-
-
 def encode_table(
     mdd: MddManager, variables: Dict[str, MvVar], model: Model, table: Table
 ) -> int:
     """Characteristic function of one (possibly non-deterministic) table.
 
-    Row conjuncts build as balanced tree reductions batched *across*
-    rows (see :func:`_reduce_each`): all rows' input literals AND
-    together in shared frontiers, then all row relations OR together.
-    The reduction shape is the same whether the kernel executes it
-    batched or scalar, so ``batch_apply`` never changes the handles.
+    Each row's input literals and output literals conjoin as balanced
+    trees (see :func:`repro.network.quantify.tree_reduce`), the two
+    halves of every row conjoin into the row relation, and the row
+    relations OR together the same way alongside the input cover that
+    the default row complements.
     """
     bdd = mdd.bdd
     in_lists = [
@@ -509,10 +465,10 @@ def encode_table(
         for row in table.rows
     ]
     if table.rows:
-        in_parts = _reduce_each(bdd, "and", in_lists)
-        out_parts = _reduce_each(bdd, "and", out_lists)
-        row_nodes = bdd.apply_many("and", list(zip(in_parts, out_parts)))
-        rows, input_cover = _reduce_each(bdd, "or", [row_nodes, in_parts])
+        in_parts = tree_reduce(bdd.and_, in_lists, bdd.true)
+        out_parts = tree_reduce(bdd.and_, out_lists, bdd.true)
+        row_nodes = [bdd.and_(i, o) for i, o in zip(in_parts, out_parts)]
+        rows, input_cover = tree_reduce(bdd.or_, [row_nodes, in_parts], bdd.false)
     else:
         rows = bdd.false
         input_cover = bdd.false

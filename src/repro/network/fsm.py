@@ -65,7 +65,6 @@ class SymbolicFsm:
         auto_reorder: Optional[int] = None,
         tracer: Optional[Tracer] = None,
         order: Optional[List[str]] = None,
-        batch_apply: Optional[bool] = None,
     ):
         self.stats = EngineStats()
         if tracer is not None:
@@ -86,7 +85,6 @@ class SymbolicFsm:
                 order=order,
                 elaboration=elaboration,
                 stats=self.stats,
-                batch_apply=batch_apply,
             )
         self.mdd: MddManager = self.network.mdd
         self.bdd: BDD = self.mdd.bdd

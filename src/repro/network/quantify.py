@@ -34,7 +34,9 @@ BDD operations at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.bdd.manager import BDD
 
@@ -124,41 +126,39 @@ def _safe_point(bdd: BDD, pool: Iterable[Conjunct], *extra: int) -> None:
     bdd.maybe_gc(extra_roots=[c.node for c in pool] + list(extra))
 
 
+def tree_reduce(
+    combine: Callable[[int, int], int], lists: List[List[int]], identity: int
+) -> List[int]:
+    """Reduce every operand list to one handle with ``combine``.
+
+    Each round combines adjacent operands pairwise within every list,
+    list by list; an odd operand out carries over to the next round, so
+    a list of width w reduces as a balanced tree of depth
+    ``ceil(log2(w))`` (a left fold for up to three operands).  Empty
+    lists reduce to ``identity``.
+    """
+    pending = [list(l) for l in lists]
+    while any(len(l) > 1 for l in pending):
+        pending = [
+            [combine(l[j], l[j + 1]) for j in range(0, len(l) - 1, 2)]
+            + (l[-1:] if len(l) % 2 else [])
+            for l in pending
+        ]
+    return [l[0] if l else identity for l in pending]
+
+
 def _reduce_and(
     bdd: BDD, result: QuantifyResult, lists: List[List[int]]
 ) -> List[int]:
-    """Tree-AND every operand list to one node, batching across lists.
+    """Tree-AND every operand list to one node (see :func:`tree_reduce`),
+    recording every intermediate product in ``result.peak_size``."""
 
-    Each round pairs adjacent operands within every list and issues all
-    pairs as a single :meth:`BDD.apply_many` frontier, recording every
-    intermediate product in ``result.peak_size``.  The reduction shape
-    is fixed regardless of ``batch_apply`` (the kernel merely executes
-    it scalar when the knob is off), so both settings build identical
-    op DAGs.  Empty lists reduce to TRUE.  For lists of up to three
-    operands the tree is the same left fold the scalar schedulers used.
-    """
-    pending = [list(l) for l in lists]
-    while True:
-        pairs: List[Tuple[int, int]] = []
-        slots: List[Tuple[int, int]] = []
-        nxt: List[List[int]] = []
-        for i, l in enumerate(pending):
-            nl: List[int] = []
-            j = 0
-            while j + 1 < len(l):
-                slots.append((i, len(nl)))
-                pairs.append((l[j], l[j + 1]))
-                nl.append(-1)
-                j += 2
-            if j < len(l):
-                nl.append(l[j])
-            nxt.append(nl)
-        if not pairs:
-            return [l[0] if l else bdd.true for l in pending]
-        for (i, p), r in zip(slots, bdd.apply_many("and", pairs)):
-            nxt[i][p] = r
-            result.peak_size = max(result.peak_size, bdd.size(r))
-        pending = nxt
+    def conjoin(f: int, g: int) -> int:
+        r = bdd.and_(f, g)
+        result.peak_size = max(result.peak_size, bdd.size(r))
+        return r
+
+    return tree_reduce(conjoin, lists, bdd.true)
 
 
 def _record_step(
@@ -459,12 +459,11 @@ def execute_schedule(
     per-iteration half of a plan-once/run-many partitioned image.
 
     Steps execute in dependency *waves*: every step whose merge slots
-    are all filled is issued together — the merge prefixes tree-reduce
-    jointly through :func:`_reduce_and` and the fused relational
-    products go out as one :meth:`BDD.and_exists_many` frontier.  The
-    wave structure (and therefore every intermediate product and the
-    recorded peak) is identical whether the kernel runs it batched or
-    scalar; GC safe-points sit between waves, never inside one.
+    are all filled runs in the current wave.  The wave's merge prefixes
+    tree-reduce jointly through :func:`_reduce_and`, then the wave's
+    quantification cubes are built, then its fused relational products
+    run, each in plan order.  GC safe points sit between waves, never
+    inside one.
     """
     if len(nodes) != schedule.inputs:
         raise ValueError(
@@ -478,16 +477,17 @@ def execute_schedule(
         if not ready:  # defensive: a well-formed plan always progresses
             raise ValueError("image schedule has an unsatisfiable step")
         remaining = [s for s in remaining if not all(i in slots for i in s.merge)]
-        # exists vars . (s_0 & ... & s_k-2) & s_k-1, one request per step;
+        # exists vars . (s_0 & ... & s_k-2) & s_k-1, one product per step;
         # single-slot merges degenerate to exists vars . TRUE & s_0.
         prefixes = _reduce_and(
             bdd, result,
             [[slots[i] for i in step.merge[:-1]] for step in ready],
         )
-        products = bdd.and_exists_many(
-            (prefix, slots[step.merge[-1]], step.quantify)
-            for step, prefix in zip(ready, prefixes)
-        )
+        cubes = [bdd.cube(step.quantify) for step in ready]
+        products = [
+            bdd.and_exists(prefix, slots[step.merge[-1]], cube)
+            for step, prefix, cube in zip(ready, prefixes, cubes)
+        ]
         for step, product in zip(ready, products):
             size = bdd.size(product)
             result.peak_size = max(result.peak_size, size)

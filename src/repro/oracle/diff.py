@@ -126,7 +126,6 @@ def bddops_trial(
     rng: random.Random,
     seed: int,
     auto_reorder: Optional[int] = None,
-    batch_apply: Optional[bool] = None,
 ) -> List[Divergence]:
     """Grow a random operation DAG, verifying every node exhaustively.
 
@@ -139,7 +138,7 @@ def bddops_trial(
     divergences: List[Divergence] = []
     n = rng.choice([4, 5])
     bdd = BDD(cache_limit=rng.choice([None, None, 512]),
-              auto_reorder=auto_reorder, batch_apply=batch_apply)
+              auto_reorder=auto_reorder)
     for j in range(n):
         bdd.add_var(f"v{j}")
     all_vars = list(range(n))
@@ -304,7 +303,6 @@ def run_case(
     auto_reorder: Optional[int] = None,
     portfolio: Optional[int] = None,
     shared_shapes: bool = False,
-    batch_apply: Optional[bool] = None,
 ) -> List[Divergence]:
     """Cross-check one generated case end-to-end.  Engine exceptions are
     reported as ``crash`` divergences rather than raised.
@@ -336,7 +334,7 @@ def run_case(
     # -- reachability --------------------------------------------------
     with stats.phase("fuzz.reach"):
         fsm = SymbolicFsm(model, tracer=stats.tracer, auto_reorder=auto_reorder,
-                          order=order, batch_apply=batch_apply)
+                          order=order)
         fsm.build_transition(method=case["build_method"])
         reach = fsm.reachable(partitioned=case["partitioned"])
         sym_reached = decode_states(fsm, reach.reached, latch_names)
@@ -415,8 +413,7 @@ def run_case(
     with stats.phase("fuzz.lc"):
         automaton = automaton_from_desc(case["automaton"])
         lc_fsm = SymbolicFsm(
-            model, tracer=stats.tracer, auto_reorder=auto_reorder,
-            order=order, batch_apply=batch_apply,
+            model, tracer=stats.tracer, auto_reorder=auto_reorder, order=order,
         )
         lc_spec = fairness_spec_from_descs(lc_fsm, case["fairness"])
         lc = check_containment(
@@ -452,7 +449,6 @@ def run_case(
             divergences.extend(
                 _shared_shape_replica_check(
                     case, seed, stats, auto_reorder=auto_reorder,
-                    batch_apply=batch_apply,
                 )
             )
 
@@ -468,7 +464,6 @@ def _shared_shape_replica_check(
     seed: int,
     stats: EngineStats,
     auto_reorder: Optional[int] = None,
-    batch_apply: Optional[bool] = None,
 ) -> List[Divergence]:
     """Verify shared-shape elaboration on a two-instance replica design.
 
@@ -495,15 +490,13 @@ def _shared_shape_replica_check(
     design = Design(models={"replica_top": top, model.name: model},
                     root="replica_top")
     elab = elaborate(design)
-    shared = SymbolicFsm(elab, tracer=stats.tracer, auto_reorder=auto_reorder,
-                         batch_apply=batch_apply)
+    shared = SymbolicFsm(elab, tracer=stats.tracer, auto_reorder=auto_reorder)
     shared.build_transition(method=case["build_method"])
     shared_reach = shared.reachable(partitioned=case["partitioned"])
     shared_count = shared.count_states(shared_reach.reached)
 
     plain = SymbolicFsm(
         flatten(design), tracer=stats.tracer, auto_reorder=auto_reorder,
-        batch_apply=batch_apply,
     )
     plain.build_transition(method=case["build_method"])
     plain_reach = plain.reachable(partitioned=case["partitioned"])
@@ -549,12 +542,11 @@ def _safe_run_case(
     auto_reorder: Optional[int] = None,
     portfolio: Optional[int] = None,
     shared_shapes: bool = False,
-    batch_apply: Optional[bool] = None,
 ) -> List[Divergence]:
     try:
         return run_case(
             case, seed, stats, auto_reorder=auto_reorder, portfolio=portfolio,
-            shared_shapes=shared_shapes, batch_apply=batch_apply,
+            shared_shapes=shared_shapes,
         )
     except Exception:
         tail = traceback.format_exc().strip().splitlines()[-1]
@@ -582,7 +574,6 @@ def run_trial(
     auto_reorder: Optional[int] = None,
     portfolio: Optional[int] = None,
     shared_shapes: bool = False,
-    batch_apply: Optional[bool] = None,
 ) -> TrialReport:
     """One full differential trial from one seed."""
     stats = stats if stats is not None else EngineStats()
@@ -590,15 +581,14 @@ def run_trial(
     divergences: List[Divergence] = []
     with stats.phase("fuzz.bddops"):
         divergences.extend(
-            bddops_trial(_ops_rng(seed), seed, auto_reorder=auto_reorder,
-                         batch_apply=batch_apply)
+            bddops_trial(_ops_rng(seed), seed, auto_reorder=auto_reorder)
         )
     with stats.phase("fuzz.gen"):
         case = gen_case(_case_rng(seed), max_space=max_space)
     divergences.extend(
         _safe_run_case(
             case, seed, stats, auto_reorder=auto_reorder, portfolio=portfolio,
-            shared_shapes=shared_shapes, batch_apply=batch_apply,
+            shared_shapes=shared_shapes,
         )
     )
     return TrialReport(
@@ -616,7 +606,6 @@ def _shrink_and_describe(
     auto_reorder: Optional[int] = None,
     portfolio: Optional[int] = None,
     shared_shapes: bool = False,
-    batch_apply: Optional[bool] = None,
 ) -> dict:
     """Minimize a failing case while any of ``areas`` keeps diverging."""
 
@@ -624,7 +613,6 @@ def _shrink_and_describe(
         found = _safe_run_case(
             candidate, seed, EngineStats(), auto_reorder=auto_reorder,
             portfolio=portfolio, shared_shapes=shared_shapes,
-            batch_apply=batch_apply,
         )
         return any(d.area in areas for d in found)
 
@@ -686,7 +674,6 @@ def run_sweep(
     auto_reorder: Optional[int] = None,
     portfolio: Optional[int] = None,
     shared_shapes: bool = False,
-    batch_apply: Optional[bool] = None,
 ) -> SweepReport:
     """Run ``trials`` seeded trials; shrink and record any divergence."""
     stats = stats if stats is not None else EngineStats()
@@ -698,7 +685,7 @@ def run_sweep(
             report = run_trial(
                 seed, stats=stats, max_space=max_space, keep_case=True,
                 auto_reorder=auto_reorder, portfolio=portfolio,
-                shared_shapes=shared_shapes, batch_apply=batch_apply,
+                shared_shapes=shared_shapes,
             )
             span.add(divergences=len(report.divergences))
         sweep.reports.append(report)
@@ -712,7 +699,7 @@ def run_sweep(
                     case = _shrink_and_describe(
                         case, seed, areas - {"bddops"},
                         auto_reorder=auto_reorder, portfolio=portfolio,
-                        shared_shapes=shared_shapes, batch_apply=batch_apply,
+                        shared_shapes=shared_shapes,
                     )
             path = write_corpus_entry(
                 corpus_dir, seed, areas, case,

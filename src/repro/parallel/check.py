@@ -61,8 +61,7 @@ class PropertyVerdict:
 
 def _check_property_worker(model, name: str, formula: Formula,
                            fairness_decls, trace: bool = False,
-                           order=None,
-                           batch_apply: Optional[bool] = None) -> TaskResult:
+                           order=None) -> TaskResult:
     """Worker body: one machine, one fairness binding, one property.
 
     ``order`` optionally forces an explicit variable order (a cached
@@ -71,8 +70,7 @@ def _check_property_worker(model, name: str, formula: Formula,
     from repro.pif.parser import PifFile
 
     fsm = SymbolicFsm(model, tracer=Tracer() if trace else None,
-                      order=list(order) if order is not None else None,
-                      batch_apply=batch_apply)
+                      order=list(order) if order is not None else None)
     fairness = None
     if fairness_decls:
         fairness = PifFile(fairness=list(fairness_decls)).bind_fairness(fsm)
@@ -118,7 +116,6 @@ def check_properties(
     retries: int = 1,
     pool: Optional[WorkerPool] = None,
     order=None,
-    batch_apply: Optional[bool] = None,
 ) -> List[PropertyVerdict]:
     """Check every ``(name, formula)`` pair; results in property order.
 
@@ -135,7 +132,6 @@ def check_properties(
             try:
                 result = _check_property_worker(
                     model, name, formula, fairness_decls, trace, order,
-                    batch_apply,
                 )
             except Exception as exc:
                 verdicts.append(
@@ -162,7 +158,7 @@ def check_properties(
             task_id=f"mc[{name}]",
             fn=_check_property_worker,
             args=(model, name, formula, tuple(fairness_decls), trace,
-                  list(order) if order is not None else None, batch_apply),
+                  list(order) if order is not None else None),
             timeout=timeout,
         )
         for name, formula in properties

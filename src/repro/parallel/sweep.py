@@ -46,7 +46,6 @@ def _sweep_chunk_worker(
     auto_reorder: Optional[int] = None,
     portfolio: Optional[int] = None,
     shared_shapes: bool = False,
-    batch_apply: Optional[bool] = None,
 ) -> TaskResult:
     """Worker body: one contiguous sub-sweep, exactly the serial code.
 
@@ -67,7 +66,6 @@ def _sweep_chunk_worker(
         auto_reorder=auto_reorder,
         portfolio=portfolio,
         shared_shapes=shared_shapes,
-        batch_apply=batch_apply,
     )
     for trial in report.reports:
         trial.case = None  # cases are large and the parent never reads them
@@ -89,7 +87,6 @@ def run_sweep_parallel(
     auto_reorder: Optional[int] = None,
     portfolio: Optional[int] = None,
     shared_shapes: bool = False,
-    batch_apply: Optional[bool] = None,
 ) -> SweepReport:
     """Fan a seeded sweep across ``jobs`` workers; merge in seed order.
 
@@ -108,7 +105,7 @@ def run_sweep_parallel(
             task_id=f"fuzz[{chunk_seed0}+{chunk_count}]",
             fn=_sweep_chunk_worker,
             args=(chunk_count, chunk_seed0, corpus_dir, shrink, max_space,
-                  trace, auto_reorder, portfolio, shared_shapes, batch_apply),
+                  trace, auto_reorder, portfolio, shared_shapes),
             timeout=timeout,
         )
         for chunk_seed0, chunk_count in chunks

@@ -136,10 +136,6 @@ class EngineStats:
             out.update(self.bdd.stats())
             out["cache_hit_rate"] = round(self.bdd.cache_hit_rate(), 4)
             out["op_cache"] = self.bdd.cache_stats()
-            frontiers = out.get("batch_frontiers", 0)
-            out["batch_mean_width"] = round(
-                out.get("batch_frontier_nodes", 0) / frontiers, 2
-            ) if frontiers else 0.0
         out["phases"] = {
             name: {"seconds": round(stat.seconds, 6), "calls": stat.calls}
             for name, stat in self.phases.items()
@@ -181,18 +177,6 @@ class EngineStats:
                 f"cache occupancy: {s['cache_entries']}/{s['cache_capacity']} "
                 f"({s['cache_entries'] / s['cache_capacity']:.1%})"
             )
-            if s["batch_calls"] or s["batch_scalar_requests"]:
-                frontiers = s["batch_frontiers"]
-                mean = (
-                    s["batch_frontier_nodes"] / frontiers if frontiers else 0.0
-                )
-                lines.append(
-                    f"  batch apply: {s['batch_calls']} call(s), "
-                    f"{s['batch_requests']} request(s) over "
-                    f"{frontiers} frontier(s) "
-                    f"(mean width {mean:.1f}, max {s['batch_max_width']})   "
-                    f"scalar-routed: {s['batch_scalar_requests']}"
-                )
             if s["compact_runs"]:
                 lines.append(f"  compactions: {s['compact_runs']} run(s)")
             if s["reorder_runs"]:

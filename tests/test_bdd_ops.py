@@ -10,7 +10,6 @@ from repro.bdd.ops import (
     disjoint,
     implies,
     minterm,
-    transfer,
 )
 
 
@@ -20,36 +19,6 @@ def bdd():
     for name in ("a", "b", "c"):
         manager.add_var(name)
     return manager
-
-
-class TestTransfer:
-    def test_identity_transfer(self, bdd):
-        f = bdd.xor(bdd.var("a"), bdd.var("b"))
-        dst = BDD()
-        for name in ("a", "b", "c"):
-            dst.add_var(name)
-        g = transfer(f, bdd, dst, {0: 0, 1: 1, 2: 2})
-        for a in (0, 1):
-            for b in (0, 1):
-                env = {"a": a, "b": b, "c": 0}
-                assert dst.eval(g, env) == bdd.eval(f, env)
-
-    def test_transfer_with_reordered_destination(self, bdd):
-        f = bdd.and_(bdd.var("a"), bdd.nvar("c"))
-        dst = BDD()
-        for name in ("c", "b", "a"):  # reversed order
-            dst.add_var(name)
-        mapping = {bdd.var_index(n): dst.var_index(n) for n in ("a", "b", "c")}
-        g = transfer(f, bdd, dst, mapping)
-        assert dst.eval(g, {"a": 1, "b": 0, "c": 0}) is True
-        assert dst.eval(g, {"a": 1, "b": 0, "c": 1}) is False
-
-    def test_transfer_with_variable_renaming(self, bdd):
-        f = bdd.var("a")
-        dst = BDD()
-        dst.add_var("x")
-        g = transfer(f, bdd, dst, {bdd.var_index("a"): dst.var_index("x")})
-        assert g == dst.var("x")
 
 
 class TestCubeHelpers:

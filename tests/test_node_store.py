@@ -4,10 +4,10 @@ Four families of pins:
 
 * **Deep-chain regressions** — every formerly-recursive helper
   (`_rename`, `_vcompose`, `_restrict`, `_constrain`, `_restrict_dc`,
-  `sat_count`, `sat_iter`, `ops.transfer`) must survive a 2000-variable
-  chain *under a tightened interpreter recursion limit*, proving the
-  explicit-stack conversions and the removal of the old
-  ``sys.setrecursionlimit`` escape hatch.
+  `sat_count`, `sat_iter`) must survive a 2000-variable chain *under a
+  tightened interpreter recursion limit*, proving the explicit-stack
+  conversions and the removal of the old ``sys.setrecursionlimit``
+  escape hatch.
 * **compose parity** — ``compose`` is routed through ``vector_compose``;
   both must land on the same handle and allocate the same node count.
 * **Cache fault injection** — a one-slot computed cache forces an
@@ -29,7 +29,6 @@ import pytest
 
 from repro.bdd import BDD
 from repro.bdd.manager import BddError
-from repro.bdd.ops import transfer
 from repro.oracle.truthtable import TruthTable
 
 DEEP = 2000
@@ -158,19 +157,6 @@ def test_deep_sat_iter():
     assert len(models) == 1
     assert all(models[0][v] for v in range(DEEP))
     assert set(models[0]) == set(range(DEEP))
-
-
-def test_deep_transfer():
-    src = deep_manager()
-    f = deep_chain(src)
-    dst = BDD()
-    for i in range(DEEP):
-        dst.add_var(f"c{i}")
-    with tight_recursion():
-        g = transfer(f, src, dst, {i: i for i in range(DEEP)})
-        gneg = transfer(src.not_(f), src, dst, {i: i for i in range(DEEP)})
-    assert g == dst.cube(range(DEEP))
-    assert gneg == dst.not_(g)
 
 
 def test_no_recursion_limit_escape_hatch_in_kernel_source():

@@ -1,17 +1,11 @@
-"""Tests for variable-ordering heuristics and rebuild-based reordering."""
-
-import pytest
+"""Tests for the static variable-ordering heuristics."""
 
 from repro.bdd import BDD
 from repro.bdd.ordering import (
     affinity_order,
     interacting_fsm_order,
     population_order,
-    reorder,
-    shared_size_under,
-    sift,
 )
-from repro.bdd.ops import transfer
 
 
 class TestAffinityOrder:
@@ -55,86 +49,28 @@ class TestInteractingFsmOrder:
         assert order[-1] == "unused"
 
 
-def _setup():
+def _comparator(names):
+    """``x_i == y_i`` for all i, with variables declared in ``names`` order."""
     bdd = BDD()
-    for name in ("a", "b", "c", "d"):
+    for name in names:
         bdd.add_var(name)
-    f = bdd.or_(bdd.and_(bdd.var("a"), bdd.var("b")),
-                bdd.and_(bdd.var("c"), bdd.var("d")))
-    return bdd, f
+    eq = bdd.true
+    for i in range(len(names) // 2):
+        eq = bdd.and_(eq, bdd.xnor(bdd.var(f"x{i}"), bdd.var(f"y{i}")))
+    return bdd, eq
 
 
-class TestReorder:
-    def test_semantics_preserved(self):
-        bdd, f = _setup()
-        new, roots = reorder(bdd, [3, 1, 2, 0], {"f": f})
-        g = roots["f"]
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    for d in (0, 1):
-                        env = {"a": a, "b": b, "c": c, "d": d}
-                        assert new.eval(g, env) == bdd.eval(f, env)
-
-    def test_order_installed(self):
-        bdd, f = _setup()
-        new, _ = reorder(bdd, [3, 2, 1, 0], {"f": f})
-        assert [new.var_name(v) for v in new.order] == ["d", "c", "b", "a"]
-
-    def test_bad_permutation_rejected(self):
-        bdd, f = _setup()
-        with pytest.raises(ValueError):
-            reorder(bdd, [0, 0, 1, 2], {"f": f})
-
-    def test_interleaved_order_smaller_for_comparator(self):
-        # The classic example: x1..xn,y1..yn ordering blows up equality,
-        # interleaving keeps it linear.
-        n = 6
-        bad = BDD()
-        for i in range(n):
-            bad.add_var(f"x{i}")
-        for i in range(n):
-            bad.add_var(f"y{i}")
-        eq = bad.true
-        for i in range(n):
-            eq = bad.and_(eq, bad.xnor(bad.var(f"x{i}"), bad.var(f"y{i}")))
-        blocked_size = bad.size(eq)
-        interleaved = [bad.var_index(f"x{i // 2}") if i % 2 == 0
-                       else bad.var_index(f"y{i // 2}")
-                       for i in range(2 * n)]
-        small_size = shared_size_under(bad, interleaved, {"eq": eq})
-        assert small_size < blocked_size
-
-    def test_transfer_between_managers(self):
-        bdd, f = _setup()
-        other = BDD()
-        for name in ("a", "b", "c", "d"):
-            other.add_var(name)
-        g = transfer(f, bdd, other, {v: v for v in range(4)})
-        assert other.eval(g, {"a": 1, "b": 1, "c": 0, "d": 0}) is True
-
-
-class TestSift:
-    def test_sift_never_worse(self):
-        bad = BDD()
-        n = 4
-        for i in range(n):
-            bad.add_var(f"x{i}")
-        for i in range(n):
-            bad.add_var(f"y{i}")
-        eq = bad.true
-        for i in range(n):
-            eq = bad.and_(eq, bad.xnor(bad.var(f"x{i}"), bad.var(f"y{i}")))
-        original = bad.size(eq)
-        new, roots = sift(bad, {"eq": eq})
-        assert new.size(roots["eq"]) <= original
-
-    def test_sift_preserves_semantics(self):
-        bdd, f = _setup()
-        new, roots = sift(bdd, {"f": f})
-        g = roots["f"]
-        assert new.eval(g, {"a": 1, "b": 1, "c": 0, "d": 0}) is True
-        assert new.eval(g, {"a": 0, "b": 1, "c": 0, "d": 0}) is False
+def test_interleaved_order_smaller_for_comparator():
+    # The classic example: x1..xn,y1..yn ordering blows up equality,
+    # interleaving keeps it linear.
+    n = 6
+    blocked, blocked_eq = _comparator(
+        [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
+    )
+    interleaved, interleaved_eq = _comparator(
+        [name for i in range(n) for name in (f"x{i}", f"y{i}")]
+    )
+    assert interleaved.size(interleaved_eq) < blocked.size(blocked_eq)
 
 
 class TestPopulationOrder:

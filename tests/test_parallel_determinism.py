@@ -120,7 +120,7 @@ class TestFuzzSweepDeterminism:
         corpus directories the two modes produce, byte for byte."""
         import repro.oracle.diff as diff
 
-        def fake_bddops_trial(rng, seed, auto_reorder=None, batch_apply=None):
+        def fake_bddops_trial(rng, seed, auto_reorder=None):
             if seed % 7 == 3:
                 return [Divergence("bddops", seed, "injected for testing")]
             return []

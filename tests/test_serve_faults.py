@@ -256,13 +256,18 @@ class TestHostileClients:
                 no_design = await client.request(
                     {"op": "submit", "kind": "check"}
                 )
-            return unknown, bad_kind, no_design
+                bad_knob = await client.request(
+                    {"op": "submit", "kind": "fuzz",
+                     "knobs": {"no_such_knob": False}}
+                )
+            return unknown, bad_kind, no_design, bad_knob
 
-        unknown, bad_kind, no_design = serve_test(body, tmp_path)
-        for reply in (unknown, bad_kind, no_design):
+        unknown, bad_kind, no_design, bad_knob = serve_test(body, tmp_path)
+        for reply in (unknown, bad_kind, no_design, bad_knob):
             assert reply["ok"] is False
             assert reply["op"] == "error"
             assert reply["error"]
+        assert "unknown knob(s)" in bad_knob["error"]
 
     def test_oversized_line_is_refused_not_fatal(self, tmp_path):
         async def body(server):

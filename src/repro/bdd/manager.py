@@ -42,7 +42,7 @@ makes in-place level swaps (sifting) safe under this encoding.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -917,6 +917,33 @@ class BDD:
         res = TRUE
         for v in vs:
             res = self._mk(v, FALSE, res)
+        return res
+
+    def literal_cube(self, literals: Iterable[Tuple[Any, bool]]) -> int:
+        """Conjunction of ``(variable, polarity)`` literals of either polarity.
+
+        Built with :meth:`_mk` from the bottom level up, one node per
+        literal, instead of a chain of ``and_`` calls.  A variable given
+        twice with opposite polarities makes the cube empty.
+        """
+        lits = sorted(
+            (
+                (v if isinstance(v, int) else self.var_index(v), bool(positive))
+                for v, positive in literals
+            ),
+            key=lambda lit: self._level_of_var[lit[0]],
+            reverse=True,
+        )
+        res = TRUE
+        last = None
+        for lit in lits:
+            var, positive = lit
+            if last is not None and last[0] == var:
+                if last[1] != positive:
+                    return FALSE
+                continue
+            res = self._mk(var, FALSE, res) if positive else self._mk(var, res, FALSE)
+            last = lit
         return res
 
     def cube_vars(self, cube: int) -> List[int]:

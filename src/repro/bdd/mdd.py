@@ -51,6 +51,11 @@ class MvVar:
         if len(self.bits) != bits_for(len(self.values)):
             raise BddError(f"wrong bit count for {name!r}")
         self._code: Dict[Value, int] = {v: i for i, v in enumerate(self.values)}
+        # literal() memo: value or frozenset of values -> BDD.  The
+        # handles are not GC roots, so the memo is dropped whenever a
+        # collection, compaction or reorder may have freed or moved them.
+        self._literals: Dict[object, int] = {}
+        self._literals_epoch: Tuple[int, int, int] = self._epoch()
         self.domain_constraint = self._compute_domain_constraint()
 
     @property
@@ -73,13 +78,13 @@ class MvVar:
         return self.values[code]
 
     def _cube_for_code(self, code: int) -> int:
+        return self.bdd.literal_cube(
+            (bit, (code >> i) & 1) for i, bit in enumerate(self.bits)
+        )
+
+    def _epoch(self) -> Tuple[int, int, int]:
         bdd = self.bdd
-        f = bdd.true
-        for i in reversed(range(len(self.bits))):
-            bit = self.bits[i]
-            lit = bdd.var(bit) if (code >> i) & 1 else bdd.nvar(bit)
-            f = bdd.and_(lit, f)
-        return f
+        return (bdd.gc_count, bdd.compact_count, bdd.reorder_count)
 
     def _compute_domain_constraint(self) -> int:
         bdd = self.bdd
@@ -90,11 +95,21 @@ class MvVar:
 
     def literal(self, values: Union[Value, Iterable[Value]]) -> int:
         """BDD of ``self in values`` (a single value or an iterable)."""
-        if isinstance(values, (str, int)) and values in self._code:
-            return self._cube_for_code(self._code[values])
-        if isinstance(values, (str, int)):
-            raise BddError(f"{values!r} not in domain of {self.name!r}")
-        return self.bdd.disj(self._cube_for_code(self.code_of(v)) for v in values)
+        single = isinstance(values, (str, int))
+        key = values if single else frozenset(values)
+        epoch = self._epoch()
+        if epoch != self._literals_epoch:
+            self._literals = {}
+            self._literals_epoch = epoch
+        f = self._literals.get(key)
+        if f is None:
+            if single:
+                f = self._cube_for_code(self.code_of(values))
+            else:
+                codes = sorted(self.code_of(v) for v in key)
+                f = self.bdd.disj(self._cube_for_code(c) for c in codes)
+            self._literals[key] = f
+        return f
 
     def eq_var(self, other: "MvVar") -> int:
         """BDD of ``self == other`` (domains must match)."""

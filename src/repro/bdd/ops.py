@@ -28,19 +28,7 @@ def cube_minus(bdd: BDD, cube: int, remove: Sequence[int]) -> int:
 
 def minterm(bdd: BDD, assignment: Dict) -> int:
     """Cube BDD for a (partial) assignment of variables to booleans."""
-    f = bdd.true
-    items = sorted(
-        (
-            (k if isinstance(k, int) else bdd.var_index(k), bool(v))
-            for k, v in assignment.items()
-        ),
-        key=lambda kv: bdd.level(kv[0]),
-        reverse=True,
-    )
-    for var, val in items:
-        lit = bdd.var(var) if val else bdd.nvar(var)
-        f = bdd.and_(lit, f)
-    return f
+    return bdd.literal_cube(assignment.items())
 
 
 def iter_minterms(bdd: BDD, f: int, care_vars: Sequence) -> Iterable[Dict[int, bool]]:

@@ -192,7 +192,11 @@ class ModelChecker:
             # A[f U g] = !(E[!g U (!f & !g)] | EG !g)
             nf = bdd.and_(bdd.not_(self.eval(f.left)), self.space)
             ng = bdd.and_(bdd.not_(self.eval(f.right)), self.space)
-            bad = bdd.or_(self.eu(ng, bdd.and_(nf, ng)), self.eg(ng))
+            # The EU part must survive the safe points inside eg.
+            until = self.eu(ng, bdd.and_(nf, ng))
+            bdd.register_root("mc.au", until)
+            bad = bdd.or_(until, self.eg(ng))
+            bdd.deregister_root("mc.au")
             return bdd.and_(bdd.not_(bad), self.space)
         raise TypeError(f"unknown formula node {f!r}")
 
@@ -232,14 +236,26 @@ class ModelChecker:
 
     # -- fair fixpoint operators -----------------------------------------
 
+    def _fair_states_keeping(self, *handles: int) -> int:
+        """:meth:`fair_states`, with ``handles`` rooted while it is first
+        computed: the fair-cycle search runs GC safe points that do not know
+        the caller's (possibly unrooted) arguments."""
+        if self._fair is None:
+            self.bdd.register_root_group("mc.args", handles)
+            try:
+                self.fair_states()
+            finally:
+                self.bdd.register_root_group("mc.args", ())
+        return self._fair
+
     def ex(self, states: int) -> int:
-        target = self.bdd.and_(states, self.fair_states())
+        target = self.bdd.and_(states, self._fair_states_keeping(states))
         return self._dc(self.bdd.and_(self.graph.pre(target), self.space))
 
     def eu(self, hold: int, target: int) -> int:
         bdd = self.bdd
         tracer = self.stats.tracer
-        target = bdd.and_(target, self.fair_states())
+        target = bdd.and_(target, self._fair_states_keeping(hold, target))
         reach = bdd.and_(target, self.space)
         iteration = 0
         while True:

@@ -14,61 +14,59 @@ effort detecting failures before the full fair-path computation:
    infinite continuation is a counterexample, and a fair cycle can be
    searched in the small already-reached region only.
 
-``doomed_states`` is computed on the automaton digraph with networkx:
-state *s* is hopeful for Rabin pair (fin, inf) iff it can reach — without
-using fin edges for the cyclic part — a strongly connected subgraph
-containing an inf edge and no fin edge.  Doomed = hopeful for no pair.
-This is structural (guards are ignored), hence a sound under-approximation
-of the truly doomed states.
+``doomed_states`` is computed on the (small) automaton digraph: state *s*
+is hopeful for Rabin pair (fin, inf) iff it can reach — without using fin
+edges for the cyclic part — a strongly connected subgraph containing an
+inf edge and no fin edge.  Doomed = hopeful for no pair.  This is
+structural (guards are ignored), hence a sound under-approximation of the
+truly doomed states.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
-
-import networkx as nx
+from typing import Dict, Iterable, Optional, Set
 
 from repro.automata.automaton import Automaton
 from repro.automata.fairness import NormalizedFairness
 from repro.lc.faircycle import FairGraph, FairScc, find_fair_scc
 
 
+def _closure(step: Dict[str, Set[str]], sources: Iterable[str]) -> Set[str]:
+    """States reachable from ``sources`` (included) along ``step``."""
+    seen = set(sources)
+    todo = list(seen)
+    while todo:
+        for nxt in step.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
 def doomed_states(automaton: Automaton) -> Set[str]:
-    """Automaton states from which no accepting run can possibly continue."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(automaton.states)
+    """Automaton states from which no accepting run can possibly continue.
+
+    For each pair, an inf edge ``(u, v)`` of the fin-pruned graph lies on
+    a cycle iff ``v`` reaches ``u``; its good core is the SCC of ``u``
+    (the states ``u`` reaches that also reach ``u``).  The prefix may use
+    any edge, so doomed states are the states that reach no good core.
+    """
+    preds: Dict[str, Set[str]] = {}
     for e in automaton.edges:
-        graph.add_edge(e.src, e.dst)
-    hopeful: Set[str] = set()
+        preds.setdefault(e.dst, set()).add(e.src)
+    good: Set[str] = set()
     for fin, inf in automaton.rabin_pairs:
-        # Cyclic part may not use fin edges.
-        pruned = nx.DiGraph()
-        pruned.add_nodes_from(automaton.states)
+        # The cyclic part may not use fin edges.
+        succ: Dict[str, Set[str]] = {}
+        pred: Dict[str, Set[str]] = {}
         for e in automaton.edges:
             if (e.src, e.dst) not in fin:
-                pruned.add_edge(e.src, e.dst)
-        good_core: Set[str] = set()
-        for component in nx.strongly_connected_components(pruned):
-            edges_inside = {
-                (u, v)
-                for u, v in pruned.edges(component)
-                if v in component
-            }
-            if not edges_inside:
-                continue
-            if edges_inside & set(inf):
-                good_core |= component
-        if not good_core:
-            continue
-        # The prefix may use any edge.
-        for state in automaton.states:
-            if state in hopeful:
-                continue
-            if state in good_core or any(
-                nx.has_path(graph, state, target) for target in good_core
-            ):
-                hopeful.add(state)
-    return set(automaton.states) - hopeful
+                succ.setdefault(e.src, set()).add(e.dst)
+                pred.setdefault(e.dst, set()).add(e.src)
+        for u, v in inf:
+            if v in succ.get(u, ()) and u in _closure(succ, [v]):
+                good |= _closure(succ, [u]) & _closure(pred, [u])
+    return set(automaton.states) - _closure(preds, good)
 
 
 def early_violation(

@@ -12,20 +12,32 @@ engine works in two phases:
    of the states lying on fair cycles.  For pure (generalized) Büchi
    fairness the hull is exact: every hull state starts a fair path inside
    the hull.
-2. **SCC refinement** (:func:`find_fair_scc`) — exact emptiness for
-   Streett conditions via symbolic SCC enumeration (forward/backward
-   closure from a seed state) with the classic Streett edge-removal
-   recursion: an SCC containing ``E``-edges but no ``F``-edge cannot use
-   those ``E``-edges, so they are deleted and the sub-SCCs re-examined.
+2. **SCC refinement** — exact emptiness for Streett conditions.  One
+   enumerator, :func:`nontrivial_sccs`, yields every non-trivial SCC of a
+   region (Xie-Beerel forward/backward closure from a seed state, with
+   trimming that relies on what each split already proves), and
+   :func:`_check_scc` applies the classic Streett edge-removal recursion
+   to each: an SCC containing ``E``-edges but no ``F``-edge cannot use
+   those ``E``-edges, so they are deleted and the sub-SCCs re-enumerated.
+   :func:`find_fair_scc` stops at the first accepted SCC;
+   :func:`all_fair_states` takes the union of all of them.
 
 Edge sets are BDDs over (present, next) state bits and are always
 interpreted intersected with the transition relation.
+
+Every fixpoint loop here is a GC/reorder safe point (:meth:`FairGraph.
+safe_point`).  A function that holds handles across a callee with its own
+safe points declares them with :meth:`FairGraph.hold`, so a collection
+forced anywhere inside the search keeps everything the open frames still
+need, including the callers' unrooted arguments.
 """
 
 from __future__ import annotations
 
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.automata.fairness import NormalizedFairness
 from repro.bdd.manager import BDD
@@ -53,6 +65,28 @@ class FairGraph:
         self.bdd.register_root("graph.x_cube", self._x_cube)
         self.bdd.register_root("graph.y_cube", self._y_cube)
         self.bdd.register_root("graph.space", self.space)
+        # Handle providers of the frames now open (see hold()).
+        self._frames: List[Callable[[], Iterable[int]]] = []
+
+    # -- GC safe points ----------------------------------------------------
+
+    @contextmanager
+    def hold(self, handles: Callable[[], Iterable[int]]) -> Iterator[None]:
+        """Keep ``handles()`` alive at every safe point inside the block.
+
+        ``handles`` is called only when a collection is due, so a closure
+        over the caller's locals reports their values at that moment.
+        """
+        self._frames.append(handles)
+        try:
+            yield
+        finally:
+            self._frames.remove(handles)
+
+    def safe_point(self, *handles: int) -> None:
+        """Run a due GC/reorder; ``handles`` and every open frame survive."""
+        held = chain.from_iterable(frame() for frame in self._frames)
+        self.bdd.maybe_gc(extra_roots=chain(handles, held))
 
     # -- primitive images ------------------------------------------------
 
@@ -99,6 +133,7 @@ class FairGraph:
         while frontier != bdd.false:
             frontier = bdd.diff(bdd.and_(self.pre(frontier, trans), region), reach)
             reach = bdd.or_(reach, frontier)
+            self.safe_point(region, target, trans, reach, frontier)
         return reach
 
     def forward_within(self, region: int, source: int, trans: int) -> int:
@@ -109,18 +144,13 @@ class FairGraph:
         while frontier != bdd.false:
             frontier = bdd.diff(bdd.and_(self.post(frontier, trans), region), reach)
             reach = bdd.or_(reach, frontier)
+            self.safe_point(region, source, trans, reach, frontier)
         return reach
 
     def invariant_core(self, region: int, trans: int) -> int:
         """Greatest subset of ``region`` where every state has a successor
         inside the subset (nu Z. region & pre(Z))."""
-        bdd = self.bdd
-        z = region
-        while True:
-            nz = bdd.and_(z, self.pre(z, trans))
-            if nz == z:
-                return z
-            z = nz
+        return _trim(self, region, trans, pred=False)
 
     def pick_state(self, states: int) -> Optional[int]:
         """One concrete state of ``states`` as a minterm BDD (None if empty)."""
@@ -195,19 +225,25 @@ def fair_hull(
         """States of ``region`` with a ``trans_subset`` edge into ``region``."""
         return bdd.and_(region, graph.pre(region, trans_subset))
 
-    while True:
-        old = z
-        # Every hull state needs a successor inside the hull.
-        z = bdd.and_(z, graph.pre(z, t))
-        for tb in buchi_trans:
-            target = sources_within(tb, z)
-            z = graph.backward_within(z, target, t)
-        for tf, t_avoid in zip(streett_f_trans, streett_avoid_trans):
-            target_f = sources_within(tf, z)
-            avoid = graph.invariant_core(z, t_avoid)
-            z = graph.backward_within(z, bdd.or_(target_f, avoid), t)
-        if z == old:
-            return z
+    old = z  # the frame reads it before the loop first sets it
+    with graph.hold(lambda: [space, t, z, old, *buchi_trans, *streett_f_trans,
+                             *streett_avoid_trans, *fairness.nodes()]):
+        while True:
+            old = z
+            # Every hull state needs a successor inside the hull.
+            z = bdd.and_(z, graph.pre(z, t))
+            for tb in buchi_trans:
+                target = sources_within(tb, z)
+                z = graph.backward_within(z, target, t)
+            for tf, t_avoid in zip(streett_f_trans, streett_avoid_trans):
+                # avoid first: target_f is in no frame, so it must not be
+                # held across invariant_core's safe points.
+                avoid = graph.invariant_core(z, t_avoid)
+                target_f = sources_within(tf, z)
+                z = graph.backward_within(z, bdd.or_(target_f, avoid), t)
+            if z == old:
+                return z
+            graph.safe_point()
 
 
 # ----------------------------------------------------------------------
@@ -230,17 +266,115 @@ class FairScc:
     required_edges: List[Tuple[int, str]] = field(default_factory=list)
 
 
+def _trim(
+    graph: FairGraph,
+    region: int,
+    trans: int,
+    succ: bool = True,
+    pred: bool = True,
+) -> int:
+    """Shrink ``region`` to states with a successor (``succ``) and a
+    predecessor (``pred``) inside it.
+
+    Every SCC state has both within its own SCC, so no non-trivial SCC
+    is lost, while transient fringe states — which would otherwise each
+    cost a full seed-and-closure round — disappear in a cheap fixpoint.
+    Removing a state without a successor never takes a predecessor away
+    from a kept state (and vice versa), so a region that already has one
+    property only needs the fixpoint for the other.
+    """
+    bdd = graph.bdd
+    z = region
+    while True:
+        kept = z
+        if succ:
+            kept = bdd.and_(kept, graph.pre(kept, trans))
+        if pred:
+            kept = bdd.and_(kept, graph.post(kept, trans))
+        if kept == z:
+            return z
+        z = kept
+        graph.safe_point(region, trans, z)
+
+
+def _self_loop(graph: FairGraph, state: int, trans: int) -> bool:
+    """Whether the single state ``state`` has an edge to itself.  The edge
+    is one minterm over both copies of the state bits, so the conjunction
+    walks one path of ``trans``."""
+    bdd = graph.bdd
+    return bdd.and_(trans, bdd.and_(state, graph.prime(state))) != bdd.false
+
+
+def nontrivial_sccs(graph: FairGraph, region: int, trans: int) -> Iterator[int]:
+    """Yield every non-trivial SCC of ``region`` under ``trans``, once each.
+
+    Xie-Beerel divide and conquer: from a seed state of a part, ``fwd``
+    is its forward closure within the part and the SCC is the backward
+    closure of the seed within ``fwd`` (the SCC lies inside ``fwd``).
+    The rest splits into ``fwd \\ scc`` and ``part \\ fwd``, and no SCC
+    spans both.
+
+    Only the starting region is trimmed on both sides.  Each split keeps
+    one side of the trim for free, so the next part needs the fixpoint
+    for the other side only:
+
+    * ``part \\ fwd`` keeps every predecessor: a predecessor inside
+      ``fwd`` would have put the state in ``fwd``.  It may have lost
+      successors, so only states without one are trimmed.
+    * ``fwd \\ scc`` keeps every successor: a successor inside ``scc``
+      would have put the state in ``scc``.  Only states without a
+      predecessor are trimmed.
+
+    Every popped part is a GC safe point.  The generator holds its work
+    stack while suspended, so the caller may run safe points of its own
+    between two SCCs; close it (or exhaust it) to release them.
+    """
+    bdd = graph.bdd
+    # Work stack of (part, trim the successor side, trim the predecessor side).
+    stack = [(bdd.and_(region, graph.space), True, True)]
+    part = fwd = scc = bdd.false  # the frame reads them before they are set
+    with graph.hold(lambda: [region, trans, part, fwd, scc,
+                             *(entry[0] for entry in stack)]):
+        while stack:
+            part, succ, pred = stack.pop()
+            graph.safe_point()
+            part = _trim(graph, part, trans, succ=succ, pred=pred)
+            if part == bdd.false:
+                continue
+            seed = graph.pick_state(part)
+            fwd = graph.forward_within(part, seed, trans)
+            scc = graph.backward_within(fwd, seed, trans)
+            # A single state is an SCC only with a self-loop.
+            if scc != seed or _self_loop(graph, seed, trans):
+                yield scc
+            stack.append((bdd.diff(fwd, scc), False, True))
+            stack.append((bdd.diff(part, fwd), True, False))
+
+
+def _first_fair_scc(
+    graph: FairGraph,
+    region: int,
+    trans: int,
+    fairness: NormalizedFairness,
+) -> Optional[FairScc]:
+    """The first SCC of ``region`` that :func:`_check_scc` accepts."""
+    with closing(nontrivial_sccs(graph, region, trans)) as sccs:
+        for scc in sccs:
+            found = _check_scc(graph, scc, trans, fairness)
+            if found is not None:
+                return found
+    return None
+
+
 def _check_scc(
     graph: FairGraph,
     scc: int,
     trans: int,
     fairness: NormalizedFairness,
-    depth: int = 0,
 ) -> Optional[FairScc]:
+    """A fair subgraph of the non-trivial SCC ``scc`` (None if none)."""
     bdd = graph.bdd
     t_scc = graph.restrict(trans, scc)
-    if t_scc == bdd.false:
-        return None
     for edges, _label in fairness.buchi:
         if bdd.and_(t_scc, edges) == bdd.false:
             return None
@@ -255,7 +389,7 @@ def _check_scc(
         # Offending E-edges cannot appear on any fair cycle here: delete
         # them and re-decompose.
         pruned = bdd.diff(t_scc, removable)
-        return _enumerate_sccs(graph, scc, pruned, fairness, depth + 1)
+        return _first_fair_scc(graph, scc, pruned, fairness)
     required: List[Tuple[int, str]] = []
     for edges, label in fairness.buchi:
         required.append((bdd.and_(t_scc, edges), label))
@@ -263,54 +397,6 @@ def _check_scc(
         if bdd.and_(t_scc, e_set) != bdd.false:
             required.append((bdd.and_(t_scc, f_set), label))
     return FairScc(states=scc, trans=t_scc, required_edges=required)
-
-
-def _trim(graph: FairGraph, region: int, trans: int) -> int:
-    """Shrink ``region`` to states with both a predecessor and a successor
-    inside it.  Every SCC state has both within its own SCC, so no SCC is
-    lost, while transient fringe states — which would otherwise each cost
-    a full seed-and-closure round — disappear in a cheap fixpoint."""
-    bdd = graph.bdd
-    while True:
-        kept = bdd.and_(region, graph.pre(region, trans))
-        kept = bdd.and_(kept, graph.post(kept, trans))
-        if kept == region:
-            return region
-        region = kept
-
-
-def _enumerate_sccs(
-    graph: FairGraph,
-    region: int,
-    trans: int,
-    fairness: NormalizedFairness,
-    depth: int = 0,
-) -> Optional[FairScc]:
-    """Xie-Beerel symbolic SCC enumeration within ``region``.
-
-    Divide and conquer: after carving out ``scc = fwd(seed) & bwd(seed)``
-    the remainder splits into ``fwd \\ scc`` and ``region \\ fwd``, which
-    contain no SCC spanning both — each part is trimmed and processed
-    independently instead of re-sweeping the whole region per seed.
-    """
-    bdd = graph.bdd
-    stack = [bdd.and_(region, graph.space)]
-    while stack:
-        part = _trim(graph, stack.pop(), trans)
-        if part == bdd.false:
-            continue
-        seed = graph.pick_state(part)
-        if seed is None:
-            continue
-        fwd = graph.forward_within(part, seed, trans)
-        bwd = graph.backward_within(part, seed, trans)
-        scc = bdd.and_(fwd, bwd)
-        found = _check_scc(graph, scc, trans, fairness, depth)
-        if found is not None:
-            return found
-        stack.append(bdd.diff(fwd, scc))
-        stack.append(bdd.diff(part, fwd))
-    return None
 
 
 def find_fair_scc(
@@ -327,15 +413,16 @@ def find_fair_scc(
     Streett pairs compiled into edge deletions); the caller's prefix may
     use the full relation.
     """
-    t_eff, residual = effective_cycle_relation(graph, fairness)
-    region = (
-        fair_hull(graph, residual, space, trans=t_eff) if use_hull else space
-    )
     bdd = graph.bdd
-    region = bdd.and_(region, space)
-    if region == bdd.false:
-        return None
-    return _enumerate_sccs(graph, region, t_eff, residual)
+    t_eff, residual = effective_cycle_relation(graph, fairness)
+    with graph.hold(lambda: [space, t_eff, *fairness.nodes()]):
+        region = (
+            fair_hull(graph, residual, space, trans=t_eff) if use_hull else space
+        )
+        region = bdd.and_(region, space)
+        if region == bdd.false:
+            return None
+        return _first_fair_scc(graph, region, t_eff, residual)
 
 
 def all_fair_states(
@@ -346,30 +433,22 @@ def all_fair_states(
     """All states of ``space`` from which a fair path inside ``space`` exists.
 
     For pure Büchi fairness this is ``E[space U hull]`` with the exact
-    Emerson-Lei hull.  With Streett pairs the hull may be strict, so fair
-    SCCs are enumerated exhaustively and the backward closure taken from
-    their union (exact, potentially slower — used by fair CTL only when
-    Streett constraints are present).
+    Emerson-Lei hull.  With Streett pairs the hull may be strict, so the
+    fair SCCs inside it are enumerated exhaustively and the backward
+    closure taken from their union (exact, potentially slower — used by
+    fair CTL only when Streett constraints are present).
     """
     bdd = graph.bdd
     t_eff, residual = effective_cycle_relation(graph, fairness)
-    hull = fair_hull(graph, residual, space, trans=t_eff)
-    if not residual.streett:
-        region = bdd.and_(space, graph.space)
-        return graph.backward_within(region, hull, graph.trans)
-    # Exact: union of all fair SCCs inside the hull.
-    region = hull
     cores = bdd.false
-    while region != bdd.false:
-        seed = graph.pick_state(region)
-        if seed is None:
-            break
-        fwd = graph.forward_within(region, seed, t_eff)
-        bwd = graph.backward_within(region, seed, t_eff)
-        scc = bdd.and_(fwd, bwd)
-        if _check_scc(graph, scc, t_eff, residual) is not None:
-            cores = bdd.or_(cores, scc)
-        region = bdd.diff(region, scc)
-    return graph.backward_within(
-        bdd.and_(space, graph.space), cores, graph.trans
-    )
+    with graph.hold(lambda: [space, t_eff, cores, *fairness.nodes()]):
+        hull = fair_hull(graph, residual, space, trans=t_eff)
+        if not residual.streett:
+            cores = hull
+        else:
+            for scc in nontrivial_sccs(graph, hull, t_eff):
+                if _check_scc(graph, scc, t_eff, residual) is not None:
+                    cores = bdd.or_(cores, scc)
+        return graph.backward_within(
+            bdd.and_(space, graph.space), cores, graph.trans
+        )

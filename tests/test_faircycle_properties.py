@@ -10,7 +10,10 @@ are checked two ways:
   the Streett edge-removal recursion).
 
 The verdicts must agree, and any witness SCC the symbolic engine returns
-must itself satisfy all constraints.
+must itself satisfy all constraints.  The SCC enumerator and
+:func:`repro.lc.faircycle.all_fair_states` are checked against
+:mod:`repro.oracle.graphs`, once with a default manager and once with a
+collection at every safe point.
 """
 
 import itertools
@@ -26,15 +29,23 @@ from repro.automata.fairness import (
     StreettPair,
 )
 from repro.blifmv import flatten, parse
-from repro.lc.faircycle import FairGraph, find_fair_scc
+from repro.lc.faircycle import (
+    FairGraph,
+    all_fair_states,
+    find_fair_scc,
+    nontrivial_sccs,
+)
 from repro.debug.trace import thread_fair_cycle
 from repro.network import SymbolicFsm
+from repro.oracle.graphs import ExplicitFairness, fair_path_states, sccs
 
 N_STATES = 5
 VALUES = [str(i) for i in range(N_STATES)]
+# Every value of the machine's latch (the edges use the first N_STATES).
+DOMAIN = [str(i) for i in range(8)]
 
 
-def build_machine(edges):
+def build_machine(edges, auto_gc=None):
     """One-latch machine with the given explicit edge list."""
     by_src = {}
     for src, dst in edges:
@@ -54,9 +65,14 @@ def build_machine(edges):
 .reset s
 0
 """
-    fsm = SymbolicFsm(flatten(parse(text)))
+    fsm = SymbolicFsm(flatten(parse(text)), auto_gc=auto_gc)
     fsm.build_transition()
     return fsm
+
+
+def decode(fsm, states):
+    """The latch values of a state set."""
+    return frozenset(s["s"] for s in fsm.states_iter(states))
 
 
 # -- explicit reference ----------------------------------------------------
@@ -189,3 +205,60 @@ def test_symbolic_agrees_with_explicit(edges, buchi_sets, neg_sets, streett):
                     hit = True
                     break
             assert hit, f"cycle misses required edge set {label}"
+
+
+# -- the SCC enumerator and all_fair_states against repro.oracle ------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges_strategy())
+def test_enumerator_yields_each_nontrivial_scc_once(edges):
+    succ = {v: [] for v in DOMAIN}
+    for u, v in edges:
+        succ[u].append(v)
+    expected = {
+        frozenset(comp)
+        for comp in sccs(DOMAIN, lambda n: succ[n])
+        if len(comp) > 1 or any(n in succ[n] for n in comp)
+    }
+    for auto_gc in (None, 1):
+        fsm = build_machine(edges, auto_gc)
+        graph = FairGraph(fsm)
+        found = [decode(fsm, scc)
+                 for scc in nontrivial_sccs(graph, graph.space, graph.trans)]
+        assert len(found) == len(set(found)), f"edges={edges}: repeated SCC"
+        assert set(found) == expected, f"edges={edges} auto_gc={auto_gc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges_strategy(),
+    st.lists(subset_strategy(), max_size=2),
+    st.lists(st.tuples(subset_strategy(), subset_strategy()),
+             min_size=1, max_size=2),
+)
+def test_all_fair_states_streett_matches_oracle(edges, buchi_sets, streett):
+    member = ExplicitFairness.state_buchi
+    fairness = ExplicitFairness(
+        buchi=[member(b.__contains__) for b in buchi_sets],
+        streett=[(member(e.__contains__), member(f.__contains__))
+                 for e, f in streett],
+    )
+    expected = fair_path_states(set(DOMAIN), set(edges), fairness)
+    for auto_gc in (None, 1):
+        fsm = build_machine(edges, auto_gc)
+        graph = FairGraph(fsm)
+        var = fsm.var("s")
+
+        def states(values):
+            return var.literal(sorted(values)) if values else fsm.bdd.false
+
+        spec = FairnessSpec(
+            [BuchiState(states(b)) for b in buchi_sets]
+            + [StreettPair(e=states(e), f=states(f)) for e, f in streett]
+        ).normalize(fsm.bdd, fsm.bdd.true)
+        fair = all_fair_states(graph, spec, graph.space)
+        assert decode(fsm, fair) == expected, (
+            f"edges={edges} buchi={buchi_sets} streett={streett} "
+            f"auto_gc={auto_gc}"
+        )

@@ -1,6 +1,12 @@
 """Tests for language containment: pass/fail, early failure, emptiness."""
 
+import os
+import subprocess
+import sys
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.automata import (
     Automaton,
@@ -155,6 +161,54 @@ class TestDoomedStates:
         aut = Automaton(name="none", states=["A"], initial=["A"])
         aut.add_edge("A", "A")
         assert doomed_states(aut) == {"A"}
+
+
+def doomed_states_reference(automaton):
+    """The networkx formulation ``doomed_states`` is checked against."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(automaton.states)
+    graph.add_edges_from((e.src, e.dst) for e in automaton.edges)
+    good_core = set()
+    for fin, inf in automaton.rabin_pairs:
+        pruned = nx.DiGraph()
+        pruned.add_nodes_from(automaton.states)
+        pruned.add_edges_from((e.src, e.dst) for e in automaton.edges
+                              if (e.src, e.dst) not in fin)
+        for component in nx.strongly_connected_components(pruned):
+            inside = {(u, v) for u, v in pruned.edges(component)
+                      if v in component}
+            if inside & set(inf):
+                good_core |= component
+    hopeful = {s for s in automaton.states
+               if any(s == t or nx.has_path(graph, s, t) for t in good_core)}
+    return set(automaton.states) - hopeful
+
+
+STATES = ["A", "B", "C", "D", "E"]
+EDGE_KEYS = st.tuples(st.sampled_from(STATES), st.sampled_from(STATES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(EDGE_KEYS, max_size=12),
+    st.lists(st.tuples(st.frozensets(EDGE_KEYS, max_size=4),
+                       st.frozensets(EDGE_KEYS, max_size=4)), max_size=3),
+)
+def test_doomed_states_matches_networkx(edges, pairs):
+    aut = Automaton(name="r", states=list(STATES), initial=["A"])
+    for src, dst in edges:
+        aut.add_edge(src, dst)
+    for fin, inf in pairs:
+        aut.accept_rabin(fin, inf)
+    assert doomed_states(aut) == doomed_states_reference(aut)
+
+
+def test_import_leaves_networkx_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("import sys, repro, repro.cli, repro.lc; "
+            "assert 'networkx' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestResultShape:

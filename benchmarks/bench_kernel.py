@@ -8,8 +8,9 @@ that cost down with deterministic workloads and record the numbers the
 complemented-edge kernel is supposed to move:
 
 * ``peak_nodes`` / ``final_nodes`` — node economy (the headline),
-* ``cache_hit`` and per-op hit rates — standardized ITE triples turn
-  equivalent ``and``/``or``/``ite`` calls into one cache line,
+* ``cache_hit`` and per-op hit rates — the AND core turns equivalent
+  ``and``/``or``/``diff``/``implies`` calls into one cache line, and
+  standardized ITE triples do the same for ``ite``/``xor``/``xnor``,
 * ``not_per_node`` style throughput columns for the O(1) negation path.
 
 All node-count columns are deterministic, so ``compare.py`` gates them

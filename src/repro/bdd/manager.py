@@ -7,7 +7,8 @@ Python:
 
 * a unique table guaranteeing canonicity of nodes,
 * a computed cache shared by all operations,
-* the ``ite`` operator and the boolean connectives derived from it,
+* a two-operand AND core for ``and_``/``or_``/``diff``/``implies`` and
+  the standardized three-operand ``ite`` for ``ite``/``xor``/``xnor``,
 * existential/universal quantification and the fused relational product
   ``and_exists`` (the workhorse of symbolic image computation),
 * variable renaming (for present-state/next-state substitution),
@@ -42,6 +43,7 @@ makes in-place level swaps (sifting) safe under this encoding.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +65,12 @@ _REDUCE = 1
 _COMBINE_OR = 2
 _SHORT_CIRCUIT = 3
 _REDUCE1 = 4
+# The AND core and the relational product keep the pair they expand in
+# locals and hand each result straight to the frame waiting for it.
+_EXPAND_HI = 5  # lo child in progress, hi child still to expand
+_REDUCE_LO = 6  # lo child known, hi child in progress
+_REDUCE_HI = 7  # hi child known, lo child in progress
+_STORE = 8  # cache the then-branch of a split whose else-branch is FALSE
 
 # Multiplicative hash constants shared by the scalar probe loops and the
 # vectorized (uint64, silently wrapping) rehash passes.  The scalar side
@@ -81,10 +89,12 @@ _OP_VCOMP = 5
 _OP_RESTR = 6
 _OP_CONSTRAIN = 7
 _OP_RESTRDC = 8
+_OP_AND = 9
 
 # Every computed-cache-keyed operation, for per-op hit/miss accounting.
-# "and"/"or"/"xor" share the standardized "ite" cache but keep their own
-# lookup/hit attribution so callers can still see which entry point pays.
+# "and" (and_, diff) and "or" (or_, implies) share the AND core's rows,
+# "xor" (xor, xnor) shares the standardized "ite" rows; each keeps its
+# own lookup/hit attribution so callers can see which entry point pays.
 CACHED_OPS = (
     "ite", "and", "or", "xor", "exist", "andex",
     "rename", "vcomp", "restr", "constrain", "restrdc",
@@ -174,6 +184,8 @@ class BDD:
             self._ck_growable = True
         self._ck_cap = ck_size
         self._ck_mask = ck_size - 1
+        # Row count at which the next insert grows a growable cache.
+        self._ck_grow_at = ck_size * 3 // 4 - 1 if self._ck_growable else sys.maxsize
         self._ck_a_np = np.full(ck_size, -1, dtype=np.int64)
         self._ck_b_np = np.zeros(ck_size, dtype=np.int64)
         self._ck_c_np = np.zeros(ck_size, dtype=np.int64)
@@ -211,7 +223,7 @@ class BDD:
         self.sift_swaps = 0
         self.sift_fast_swaps = 0
         self.sift_lb_skips = 0
-        # O(1) negation / ITE standardization telemetry.
+        # O(1) negation / ITE standardization (ite, xor, xnor) telemetry.
         self.not_calls = 0
         self.std_rewrites = 0
         # op -> [lookups, hits] for the computed cache.
@@ -395,11 +407,7 @@ class BDD:
         """Computed-cache insert; a conflicting row is overwritten (and
         counted as an eviction).  Never frees or moves nodes, so indices
         held by in-flight operator stacks stay valid."""
-        if (
-            self._ck_growable
-            and self._ck_cap < _MAX_CACHE_SIZE
-            and (self._ck_used + 1) * 4 >= self._ck_cap * 3
-        ):
+        if self._ck_used >= self._ck_grow_at:
             self._ck_grow()
         h = (a * _H1 + b * _H2 + c * _H3) & _M64
         h ^= h >> 16
@@ -452,6 +460,7 @@ class BDD:
         self._ck_c_np, self._ck_r_np = new_c, new_r
         self._ck_cap = cap
         self._ck_mask = cap - 1
+        self._ck_grow_at = cap * 3 // 4 - 1 if cap < _MAX_CACHE_SIZE else sys.maxsize
         self._ck_a = memoryview(new_a)
         self._ck_b = memoryview(new_b)
         self._ck_c = memoryview(new_c)
@@ -533,28 +542,6 @@ class BDD:
     def order(self) -> Tuple[int, ...]:
         """Variables from top level to bottom level."""
         return tuple(self._var_at_level)
-
-    def set_order(self, order: Sequence[int]) -> None:
-        """Install a new variable order.
-
-        Every declared variable must appear exactly once.  Existing node
-        handles are *not* remapped, so this is only allowed while the
-        manager holds no live nodes besides constants.  To change the
-        order of a populated manager, sift it in place with
-        :meth:`reorder_now` (or arm ``auto_reorder``), which keeps every
-        root handle valid.
-        """
-        if sorted(order) != list(range(self.var_count)):
-            raise BddError("new order must be a permutation of all variables")
-        if len(self) > 2:
-            raise BddError(
-                "set_order on a non-empty manager would break canonicity; "
-                "use reorder_now() to sift in place instead"
-            )
-        self._var_at_level = list(order)
-        for lvl, v in enumerate(self._var_at_level):
-            self._level_of_var[v] = lvl
-        self.clear_cache()
 
     # ------------------------------------------------------------------
     # Node construction
@@ -691,7 +678,8 @@ class BDD:
         return f, f
 
     def _ite(self, f: int, g: int, h: int, stats: List[int]) -> int:
-        """Standardized, explicit-stack if-then-else.
+        """Standardized, explicit-stack if-then-else: the three-operand
+        core behind ``ite``, ``xor`` and ``xnor``.
 
         Each triple is rewritten to the Brace-Rudell-Bryant standard form
         before the cache lookup — equal/complement arguments collapsed,
@@ -699,7 +687,7 @@ class BDD:
         argument made regular, the complement pushed out of the then
         branch — so every equivalent call shares one cache line.
         ``stats`` attributes the lookups to the calling entry point
-        (``ite``/``and``/``or``/``xor``) while the cache key stays shared.
+        (``ite``/``xor``) while the cache key stays shared.
 
         Cache lookups are inlined against the direct-mapped signature
         columns; locals caching the column views are refreshed whenever
@@ -849,6 +837,142 @@ class BDD:
         self.std_rewrites += std_rewrites
         return results.pop()
 
+    def _and(self, f: int, g: int, stats: List[int]) -> int:
+        """Explicit-stack conjunction: the two-operand core behind
+        ``and_``, ``or_``, ``diff`` and ``implies``.
+
+        The operand pair is ordered by handle and cached under its own
+        opcode (third signature column 0).  Terminal pairs — a constant
+        operand, equal or complementary operands — are resolved before a
+        frame would be pushed.  The pair being expanded lives in locals:
+        its lo child is expanded next without a frame, and every result
+        goes straight to the frame waiting for it.  ``stats`` attributes
+        the lookups to the calling entry point; cache rows are written
+        inline.
+        """
+        if f == g or g == TRUE:
+            return f
+        if f == TRUE:
+            return g
+        if f == FALSE or g == FALSE or f == (g ^ 1):
+            return FALSE
+        var_arr = self._var
+        lo_arr = self._lo
+        hi_arr = self._hi
+        ck_a = self._ck_a
+        ck_b = self._ck_b
+        ck_c = self._ck_c
+        ck_r = self._ck_r
+        ck_mask = self._ck_mask
+        lvl_of = self._level_of_var
+        mk = self._mk
+        todo: List[Tuple] = []
+        lookups = hits = 0
+        while True:
+            # Expand the non-terminal pair (f, g).
+            if f > g:
+                f, g = g, f
+            a = (f << 6) | _OP_AND
+            lookups += 1
+            hs = (a * _H1 + g * _H2) & _M64
+            hs ^= hs >> 16
+            slot = hs & ck_mask
+            if ck_a[slot] == a and ck_b[slot] == g and ck_c[slot] == 0:
+                hits += 1
+                res = ck_r[slot]
+            else:
+                # Both operands are internal nodes here.
+                fi = f >> 1
+                gi = g >> 1
+                vf = var_arr[fi]
+                vg = var_arr[gi]
+                if vf == vg or lvl_of[vf] < lvl_of[vg]:
+                    var = vf
+                    c = f & 1
+                    f0 = lo_arr[fi] ^ c
+                    f1 = hi_arr[fi] ^ c
+                else:
+                    var = vg
+                    f0 = f1 = f
+                if vg == var:
+                    c = g & 1
+                    g0 = lo_arr[gi] ^ c
+                    g1 = hi_arr[gi] ^ c
+                else:
+                    g0 = g1 = g
+                if f0 == g0:
+                    lo = f0
+                elif f0 == (g0 ^ 1):
+                    lo = FALSE
+                elif f0 < 2:
+                    lo = g0 if f0 == TRUE else FALSE
+                elif g0 < 2:
+                    lo = f0 if g0 == TRUE else FALSE
+                else:
+                    lo = -1
+                if f1 == g1:
+                    hi = f1
+                elif f1 == (g1 ^ 1):
+                    hi = FALSE
+                elif f1 < 2:
+                    hi = g1 if f1 == TRUE else FALSE
+                elif g1 < 2:
+                    hi = f1 if g1 == TRUE else FALSE
+                else:
+                    hi = -1
+                if lo < 0:
+                    if hi < 0:
+                        todo.append((_EXPAND_HI, var, a, g, hs, f1, g1))
+                    else:
+                        todo.append((_REDUCE_HI, var, a, g, hs, hi))
+                    f, g = f0, g0
+                    continue
+                if hi < 0:
+                    todo.append((_REDUCE_LO, var, a, g, hs, lo))
+                    f, g = f1, g1
+                    continue
+                todo.append((_REDUCE_HI, var, a, g, hs, hi))
+                res = lo
+            # Hand res down the stack until a frame needs an expansion.
+            while todo:
+                frame = todo.pop()
+                if frame[0] == _EXPAND_HI:
+                    _, var, a, b, hs, f, g = frame
+                    todo.append((_REDUCE_LO, var, a, b, hs, res))
+                    break
+                tag, var, a, b, hs, child = frame
+                if tag == _REDUCE_LO:
+                    res = mk(var, child, res)
+                else:
+                    res = mk(var, res, child)
+                if self._var is not var_arr:
+                    var_arr = self._var
+                    lo_arr = self._lo
+                    hi_arr = self._hi
+                # Inline _ck_put (the signature hash does not depend on
+                # the cache size, so the frame's hash survives a growth).
+                if self._ck_used >= self._ck_grow_at:
+                    self._ck_grow()
+                    ck_a = self._ck_a
+                    ck_b = self._ck_b
+                    ck_c = self._ck_c
+                    ck_r = self._ck_r
+                    ck_mask = self._ck_mask
+                slot = hs & ck_mask
+                prev = ck_a[slot]
+                if prev == -1:
+                    self._ck_used += 1
+                elif prev != a or ck_b[slot] != b or ck_c[slot] != 0:
+                    self.cache_evictions += 1
+                ck_a[slot] = a
+                ck_b[slot] = b
+                ck_c[slot] = 0
+                ck_r[slot] = res
+            else:
+                stats[0] += lookups
+                stats[1] += hits
+                return res
+
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``f & g | ~f & h``.  The universal connective."""
         return self._ite(f, g, h, self._op_stats["ite"])
@@ -859,12 +983,12 @@ class BDD:
         return f ^ 1
 
     def and_(self, f: int, g: int) -> int:
-        """Conjunction (standardized ``ite(f, g, FALSE)``)."""
-        return self._ite(f, g, FALSE, self._op_stats["and"])
+        """Conjunction."""
+        return self._and(f, g, self._op_stats["and"])
 
     def or_(self, f: int, g: int) -> int:
-        """Disjunction (standardized ``ite(f, TRUE, g)``)."""
-        return self._ite(f, TRUE, g, self._op_stats["or"])
+        """Disjunction, as ``~(~f & ~g)``."""
+        return self._and(f ^ 1, g ^ 1, self._op_stats["or"]) ^ 1
 
     def xor(self, f: int, g: int) -> int:
         """Exclusive or."""
@@ -875,12 +999,12 @@ class BDD:
         return self._ite(f, g, g ^ 1, self._op_stats["xor"])
 
     def implies(self, f: int, g: int) -> int:
-        """Implication ``f -> g``."""
-        return self._ite(f, g, TRUE, self._op_stats["or"])
+        """Implication ``f -> g``, as ``~(f & ~g)``."""
+        return self._and(f, g ^ 1, self._op_stats["or"]) ^ 1
 
     def diff(self, f: int, g: int) -> int:
         """Difference ``f & ~g``."""
-        return self._ite(f, g ^ 1, FALSE, self._op_stats["and"])
+        return self._and(f, g ^ 1, self._op_stats["and"])
 
     def conj(self, fs: Iterable[int]) -> int:
         """Conjunction of many functions."""
@@ -1035,6 +1159,28 @@ class BDD:
         return self._and_exists(f, g, cube)
 
     def _and_exists(self, f: int, g: int, cube: int) -> int:
+        """Explicit-stack relational product ``exists cube . f & g``.
+
+        Terminal children — a ``FALSE`` product, ``TRUE & TRUE``, or an
+        exhausted cube, whose product the :meth:`_and` core finishes —
+        are resolved before a frame would be pushed.  As in the core, the
+        triple being expanded lives in locals and every result goes
+        straight to the frame waiting for it.  A quantified split
+        expands its else-branch first: ``TRUE`` ends the split, ``FALSE``
+        makes the then-branch the answer with no join, and any other
+        value is joined with the then-branch by ``_and`` on the
+        complements.  The public connectives are never called: products
+        count as ``and`` lookups, joins as ``or`` lookups.
+        """
+        and_ = self._and
+        and_stats = self._op_stats["and"]
+        or_stats = self._op_stats["or"]
+        if f == FALSE or g == FALSE or f == (g ^ 1):
+            return FALSE
+        if cube == TRUE:
+            return and_(f, g, and_stats)
+        if f == TRUE and g == TRUE:
+            return TRUE
         var_arr = self._var
         lo_arr = self._lo
         hi_arr = self._hi
@@ -1044,140 +1190,186 @@ class BDD:
         ck_r = self._ck_r
         ck_mask = self._ck_mask
         lvl_of = self._level_of_var
+        mk = self._mk
         stats = self._op_stats["andex"]
-        todo: List[Tuple] = [(_EXPAND, f, g, cube)]
-        results: List[int] = []
-        while todo:
-            frame = todo.pop()
-            tag = frame[0]
-            if tag == _EXPAND:
-                _, f, g, cube = frame
-                if f == FALSE or g == FALSE or f == (g ^ 1):
-                    results.append(FALSE)
-                    continue
-                if cube == TRUE:
-                    results.append(self.and_(f, g))
-                    if self._var is not var_arr:
-                        var_arr = self._var
-                        lo_arr = self._lo
-                        hi_arr = self._hi
-                    if self._ck_a is not ck_a:
-                        ck_a = self._ck_a
-                        ck_b = self._ck_b
-                        ck_c = self._ck_c
-                        ck_r = self._ck_r
-                        ck_mask = self._ck_mask
-                    continue
-                if f == TRUE and g == TRUE:
-                    results.append(TRUE)
-                    continue
-                if f > g:
-                    f, g = g, f
-                # Inline top-level computation; at least one of f, g is an
-                # internal node here.
-                vf = var_arr[f >> 1]
-                vg = var_arr[g >> 1]
-                lf = _LEAF_LEVEL if vf < 0 else lvl_of[vf]
-                lg = _LEAF_LEVEL if vg < 0 else lvl_of[vg]
-                top = lf if lf < lg else lg
-                while cube != TRUE and lvl_of[var_arr[cube >> 1]] < top:
-                    cube = hi_arr[cube >> 1] ^ (cube & 1)
-                if cube == TRUE:
-                    results.append(self.and_(f, g))
-                    if self._var is not var_arr:
-                        var_arr = self._var
-                        lo_arr = self._lo
-                        hi_arr = self._hi
-                    if self._ck_a is not ck_a:
-                        ck_a = self._ck_a
-                        ck_b = self._ck_b
-                        ck_c = self._ck_c
-                        ck_r = self._ck_r
-                        ck_mask = self._ck_mask
-                    continue
+        todo: List[Tuple] = []
+        lookups = hits = 0
+        while True:
+            # Expand the non-terminal triple (f, g, cube).
+            if f > g:
+                f, g = g, f
+            # At least one of f, g is an internal node here.
+            vf = var_arr[f >> 1]
+            vg = var_arr[g >> 1]
+            lf = _LEAF_LEVEL if vf < 0 else lvl_of[vf]
+            lg = _LEAF_LEVEL if vg < 0 else lvl_of[vg]
+            top = lf if lf < lg else lg
+            while cube != TRUE and lvl_of[var_arr[cube >> 1]] < top:
+                cube = hi_arr[cube >> 1] ^ (cube & 1)
+            if cube == TRUE:
+                res = and_(f, g, and_stats)
+                if self._var is not var_arr:
+                    var_arr = self._var
+                    lo_arr = self._lo
+                    hi_arr = self._hi
+                if self._ck_a is not ck_a:
+                    ck_a = self._ck_a
+                    ck_b = self._ck_b
+                    ck_c = self._ck_c
+                    ck_r = self._ck_r
+                    ck_mask = self._ck_mask
+            else:
                 a = (f << 6) | _OP_ANDEX
-                stats[0] += 1
+                lookups += 1
                 hs = (a * _H1 + g * _H2 + cube * _H3) & _M64
                 hs ^= hs >> 16
                 slot = hs & ck_mask
                 if ck_a[slot] == a and ck_b[slot] == g and ck_c[slot] == cube:
-                    stats[1] += 1
-                    results.append(ck_r[slot])
-                    continue
-                var = vf if lf <= lg else vg
-                fi = f >> 1
-                if vf == var:
-                    c = f & 1
-                    f0 = lo_arr[fi] ^ c
-                    f1 = hi_arr[fi] ^ c
+                    hits += 1
+                    res = ck_r[slot]
                 else:
-                    f0 = f1 = f
-                gi = g >> 1
-                if vg == var:
-                    c = g & 1
-                    g0 = lo_arr[gi] ^ c
-                    g1 = hi_arr[gi] ^ c
+                    var = vf if lf <= lg else vg
+                    fi = f >> 1
+                    if vf == var:
+                        c = f & 1
+                        f0 = lo_arr[fi] ^ c
+                        f1 = hi_arr[fi] ^ c
+                    else:
+                        f0 = f1 = f
+                    gi = g >> 1
+                    if vg == var:
+                        c = g & 1
+                        g0 = lo_arr[gi] ^ c
+                        g1 = hi_arr[gi] ^ c
+                    else:
+                        g0 = g1 = g
+                    ci = cube >> 1
+                    if var_arr[ci] == var:
+                        # Quantified split: the else-branch goes first, the
+                        # then-branch waits in the split frame.
+                        sub = hi_arr[ci] ^ (cube & 1)
+                        todo.append((_SHORT_CIRCUIT, f1, g1, sub, a, g, cube, hs))
+                        if f0 == FALSE or g0 == FALSE or f0 == (g0 ^ 1):
+                            res = FALSE
+                        elif sub == TRUE:
+                            res = and_(f0, g0, and_stats)
+                            if self._var is not var_arr:
+                                var_arr = self._var
+                                lo_arr = self._lo
+                                hi_arr = self._hi
+                            if self._ck_a is not ck_a:
+                                ck_a = self._ck_a
+                                ck_b = self._ck_b
+                                ck_c = self._ck_c
+                                ck_r = self._ck_r
+                                ck_mask = self._ck_mask
+                        elif f0 == TRUE and g0 == TRUE:
+                            res = TRUE
+                        else:
+                            f, g, cube = f0, g0, sub
+                            continue
+                    else:
+                        # The cube is not exhausted below an unquantified
+                        # top, so only constant children are terminal.
+                        if f0 == FALSE or g0 == FALSE or f0 == (g0 ^ 1):
+                            lo = FALSE
+                        elif f0 == TRUE and g0 == TRUE:
+                            lo = TRUE
+                        else:
+                            lo = -1
+                        if f1 == FALSE or g1 == FALSE or f1 == (g1 ^ 1):
+                            hi = FALSE
+                        elif f1 == TRUE and g1 == TRUE:
+                            hi = TRUE
+                        else:
+                            hi = -1
+                        if lo < 0:
+                            if hi < 0:
+                                todo.append((_EXPAND_HI, var, a, g, cube, hs, f1, g1))
+                            else:
+                                todo.append((_REDUCE_HI, var, a, g, cube, hs, hi))
+                            f, g = f0, g0
+                            continue
+                        if hi < 0:
+                            todo.append((_REDUCE_LO, var, a, g, cube, hs, lo))
+                            f, g = f1, g1
+                            continue
+                        todo.append((_REDUCE_HI, var, a, g, cube, hs, hi))
+                        res = lo
+            # Hand res down the stack until a frame needs an expansion.
+            while todo:
+                frame = todo.pop()
+                tag = frame[0]
+                if tag == _EXPAND_HI:
+                    _, var, a, b, cube, hs, f, g = frame
+                    todo.append((_REDUCE_LO, var, a, b, cube, hs, res))
+                    break
+                if tag == _REDUCE_LO:
+                    _, var, a, b, c, hs, lo = frame
+                    res = mk(var, lo, res)
+                elif tag == _REDUCE_HI:
+                    _, var, a, b, c, hs, hi = frame
+                    res = mk(var, res, hi)
+                elif tag == _STORE:
+                    _, a, b, c, hs = frame
                 else:
-                    g0 = g1 = g
-                if var_arr[cube >> 1] == var:
-                    sub = self._cube_next(cube)
-                    todo.append((_SHORT_CIRCUIT, f1, g1, sub, a, g, cube))
-                    todo.append((_EXPAND, f0, g0, sub))
-                else:
-                    todo.append((_REDUCE, var, a, g, cube))
-                    todo.append((_EXPAND, f1, g1, cube))
-                    todo.append((_EXPAND, f0, g0, cube))
-            elif tag == _REDUCE:
-                _, var, a, b, c = frame
-                hi = results.pop()
-                lo = results.pop()
-                res = self._mk(var, lo, hi)
-                self._ck_put(a, b, c, res)
+                    if tag == _COMBINE_OR:
+                        _, a, b, c, hs, lo = frame
+                        hi = res
+                    else:  # _SHORT_CIRCUIT: res is the else-branch
+                        _, f1, g1, sub, a, b, c, hs = frame
+                        lo = res
+                        if lo == TRUE:
+                            hi = TRUE
+                        elif f1 == FALSE or g1 == FALSE or f1 == (g1 ^ 1):
+                            hi = FALSE
+                        elif sub == TRUE:
+                            hi = and_(f1, g1, and_stats)
+                        elif f1 == TRUE and g1 == TRUE:
+                            hi = TRUE
+                        else:
+                            if lo == FALSE:
+                                todo.append((_STORE, a, b, c, hs))
+                            else:
+                                todo.append((_COMBINE_OR, a, b, c, hs, lo))
+                            f, g, cube = f1, g1, sub
+                            break
+                    # Join the branches: lo | hi == ~(~lo & ~hi).
+                    if lo == FALSE or hi == TRUE or lo == hi:
+                        res = hi
+                    elif hi == FALSE or lo == TRUE:
+                        res = lo
+                    elif lo == (hi ^ 1):
+                        res = TRUE
+                    else:
+                        res = and_(lo ^ 1, hi ^ 1, or_stats) ^ 1
                 if self._var is not var_arr:
                     var_arr = self._var
                     lo_arr = self._lo
                     hi_arr = self._hi
+                # Inline _ck_put under the frame's size-independent hash.
+                if self._ck_used >= self._ck_grow_at:
+                    self._ck_grow()
                 if self._ck_a is not ck_a:
                     ck_a = self._ck_a
                     ck_b = self._ck_b
                     ck_c = self._ck_c
                     ck_r = self._ck_r
                     ck_mask = self._ck_mask
-                results.append(res)
-            elif tag == _SHORT_CIRCUIT:
-                _, f1, g1, sub, a, b, c = frame
-                lo = results.pop()
-                if lo == TRUE:
-                    self._ck_put(a, b, c, TRUE)
-                    if self._ck_a is not ck_a:
-                        ck_a = self._ck_a
-                        ck_b = self._ck_b
-                        ck_c = self._ck_c
-                        ck_r = self._ck_r
-                        ck_mask = self._ck_mask
-                    results.append(TRUE)
-                else:
-                    results.append(lo)
-                    todo.append((_COMBINE_OR, a, b, c))
-                    todo.append((_EXPAND, f1, g1, sub))
-            else:  # _COMBINE_OR
-                _, a, b, c = frame
-                hi = results.pop()
-                lo = results.pop()
-                res = self.or_(lo, hi)
-                self._ck_put(a, b, c, res)
-                if self._var is not var_arr:
-                    var_arr = self._var
-                    lo_arr = self._lo
-                    hi_arr = self._hi
-                if self._ck_a is not ck_a:
-                    ck_a = self._ck_a
-                    ck_b = self._ck_b
-                    ck_c = self._ck_c
-                    ck_r = self._ck_r
-                    ck_mask = self._ck_mask
-                results.append(res)
-        return results.pop()
+                slot = hs & ck_mask
+                prev = ck_a[slot]
+                if prev == -1:
+                    self._ck_used += 1
+                elif prev != a or ck_b[slot] != b or ck_c[slot] != c:
+                    self.cache_evictions += 1
+                ck_a[slot] = a
+                ck_b[slot] = b
+                ck_c[slot] = c
+                ck_r[slot] = res
+            else:
+                stats[0] += lookups
+                stats[1] += hits
+                return res
 
     # ------------------------------------------------------------------
     # Substitution

@@ -31,7 +31,7 @@ evaluate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.bdd.manager import BDD
 
@@ -71,44 +71,43 @@ def affinity_order(
     ``groups`` are sets of item names that interact (e.g. the support sets
     of the relations of a BLIF-MV network); the affinity between two items
     is the number of groups containing both.  Returns a greedy linear
-    arrangement starting from the item with the highest total affinity.
-    Items never seen in any group keep their relative input order at the
-    end.
+    arrangement: each step places the remaining item with the largest
+    total affinity to the placed prefix, then the largest total weight
+    (summed affinity to every item), then the earliest position in
+    ``all_items``; the first step therefore seeds with the globally
+    most-connected item.  Items never seen in any group keep their
+    relative input order at the end.
+
+    Each placement scans the remaining items once and updates only the
+    placed item's neighbours, so the cost is quadratic in the number of
+    items.  Items are expected to be distinct (every caller passes
+    declared variables, latch names or positions); a repeated item is
+    placed once per occurrence but gains its attraction only once.
     """
-    affinity: Dict[Tuple[str, str], int] = {}
-    weight: Dict[str, int] = {name: 0 for name in all_items}
     items_set = set(all_items)
+    neighbours: Dict[str, Dict[str, int]] = {name: {} for name in all_items}
     for group in groups:
-        members = sorted(group & items_set)
-        for i, a in enumerate(members):
-            weight[a] += len(members) - 1
-            for b in members[i + 1:]:
-                key = (a, b)
-                affinity[key] = affinity.get(key, 0) + 1
-
-    def pair_affinity(a: str, b: str) -> int:
-        if a > b:
-            a, b = b, a
-        return affinity.get((a, b), 0)
-
-    remaining = [name for name in all_items]
-    placed: List[str] = []
-    placed_set: Set[str] = set()
+        members = list(group & items_set)
+        for a in members:
+            near = neighbours[a]
+            for b in members:
+                if b != a:
+                    near[b] = near.get(b, 0) + 1
+    weight = {name: sum(near.values()) for name, near in neighbours.items()}
+    position: Dict[str, int] = {}
+    for i, name in enumerate(all_items):
+        position.setdefault(name, i)
     attraction: Dict[str, int] = {name: 0 for name in all_items}
+    remaining = list(all_items)
+    placed: List[str] = []
     while remaining:
-        if not placed:
-            # Seed with the globally most-connected item.
-            best = max(remaining, key=lambda n: (weight[n], -all_items.index(n)))
-        else:
-            best = max(
-                remaining,
-                key=lambda n: (attraction[n], weight[n], -all_items.index(n)),
-            )
+        best = max(
+            remaining, key=lambda n: (attraction[n], weight[n], -position[n])
+        )
         placed.append(best)
-        placed_set.add(best)
         remaining.remove(best)
-        for n in remaining:
-            attraction[n] += pair_affinity(best, n)
+        for n, shared in neighbours[best].items():
+            attraction[n] += shared
     return placed
 
 

@@ -188,55 +188,64 @@ class Model:
             self._validate_table(table)
 
     def _validate_table(self, table: Table) -> None:
-        width = len(table.inputs) + len(table.outputs)
+        # Each column's (variable, domain, is_output) is resolved once
+        # per table, not once per entry.
+        in_cols = [(var, self.domain(var), False) for var in table.inputs]
+        out_cols = [(var, self.domain(var), True) for var in table.outputs]
+        width = len(in_cols) + len(out_cols)
         for row in table.rows:
-            if len(row.inputs) != len(table.inputs) or len(row.outputs) != len(
-                table.outputs
-            ):
+            if len(row.inputs) != len(in_cols) or len(row.outputs) != len(out_cols):
                 raise BlifMvError(
                     f"model {self.name}: row width mismatch in table for "
                     f"{table.outputs} (expected {width})"
                 )
-            for entry, var in zip(row.inputs, table.inputs):
-                self._validate_entry(entry, var, is_output=False, table=table)
-            for entry, var in zip(row.outputs, table.outputs):
-                self._validate_entry(entry, var, is_output=True, table=table)
+            self._validate_entries(row.inputs, in_cols, table)
+            self._validate_entries(row.outputs, out_cols, table)
         if table.default is not None:
-            if len(table.default) != len(table.outputs):
+            if len(table.default) != len(out_cols):
                 raise BlifMvError(
                     f"model {self.name}: .default width mismatch for {table.outputs}"
                 )
-            for entry, var in zip(table.default, table.outputs):
-                self._validate_entry(entry, var, is_output=True, table=table)
+            self._validate_entries(table.default, out_cols, table)
 
-    def _validate_entry(
-        self, entry: PatternEntry, var: str, is_output: bool, table: Table
+    def _validate_entries(
+        self,
+        entries: Tuple[PatternEntry, ...],
+        columns: List[Tuple[str, Tuple[str, ...], bool]],
+        table: Table,
     ) -> None:
-        domain = self.domain(var)
-        if isinstance(entry, Any_):
-            return
-        if isinstance(entry, Eq):
-            if not is_output:
-                raise BlifMvError(
-                    f"model {self.name}: '=' only allowed in output columns"
-                )
-            if entry.name not in table.inputs:
-                raise BlifMvError(
-                    f"model {self.name}: '={entry.name}' does not name an input "
-                    f"of the table"
-                )
-            if self.domain(entry.name) != domain:
-                raise BlifMvError(
-                    f"model {self.name}: '={entry.name}' domain mismatch with {var!r}"
-                )
-            return
-        values = entry.values if isinstance(entry, ValueSet) else (entry,)
-        for value in values:
-            if value not in domain:
-                raise BlifMvError(
-                    f"model {self.name}: value {value!r} not in domain of {var!r} "
-                    f"{domain}"
-                )
+        for entry, (var, domain, is_output) in zip(entries, columns):
+            if isinstance(entry, str):
+                if entry in domain:
+                    continue
+                values: Tuple[str, ...] = (entry,)
+            elif isinstance(entry, Any_):
+                continue
+            elif isinstance(entry, ValueSet):
+                values = entry.values
+            elif isinstance(entry, Eq):
+                if not is_output:
+                    raise BlifMvError(
+                        f"model {self.name}: '=' only allowed in output columns"
+                    )
+                if entry.name not in table.inputs:
+                    raise BlifMvError(
+                        f"model {self.name}: '={entry.name}' does not name an input "
+                        f"of the table"
+                    )
+                if self.domain(entry.name) != domain:
+                    raise BlifMvError(
+                        f"model {self.name}: '={entry.name}' domain mismatch with {var!r}"
+                    )
+                continue
+            else:
+                values = (entry,)
+            for value in values:
+                if value not in domain:
+                    raise BlifMvError(
+                        f"model {self.name}: value {value!r} not in domain of {var!r} "
+                        f"{domain}"
+                    )
 
 
 @dataclass

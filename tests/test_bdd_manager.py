@@ -33,11 +33,6 @@ class TestVariables:
         manager.add_var("z", level=0)
         assert [manager.var_name(v) for v in manager.order] == ["z", "x", "y"]
 
-    def test_set_order_requires_empty_manager(self, bdd):
-        bdd.and_(bdd.var("a"), bdd.var("b"))
-        with pytest.raises(BddError):
-            bdd.set_order([3, 2, 1, 0])
-
 
 class TestCanonicity:
     def test_terminals(self, bdd):

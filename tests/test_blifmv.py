@@ -6,6 +6,9 @@ from repro.blifmv import (
     ANY,
     BlifMvError,
     Eq,
+    Model,
+    Row,
+    Table,
     ValueSet,
     flatten,
     line_count,
@@ -202,6 +205,43 @@ class TestParserErrors:
         with pytest.raises(BlifMvError) as err:
             parse(".model m\n.table a -> o\n0 1\n.table b -> o\n0 1\n.end")
         assert "multiple drivers" in str(err.value)
+
+    @pytest.mark.parametrize("table,message", [
+        (
+            Table(["a"], ["o"], rows=[Row(("0", "1"), ("1",))]),
+            "model m: row width mismatch in table for ['o'] (expected 2)",
+        ),
+        (
+            Table(["a"], ["o"], rows=[Row(("0",), ("1",))], default=("0", "1")),
+            "model m: .default width mismatch for ['o']",
+        ),
+        (
+            Table(["a", "b"], ["o"], rows=[Row((Eq("b"), "0"), ("1",))]),
+            "model m: '=' only allowed in output columns",
+        ),
+        (
+            Table(["a"], ["o"], rows=[Row((ANY,), (Eq("o"),))]),
+            "model m: '=o' does not name an input of the table",
+        ),
+        (
+            Table(["w"], ["o"], rows=[Row((ANY,), (Eq("w"),))]),
+            "model m: '=w' domain mismatch with 'o'",
+        ),
+        (
+            Table(["w"], ["o"], rows=[Row((ValueSet(("r", "q")),), ("1",))]),
+            "model m: value 'q' not in domain of 'w' ('r', 'g', 'b')",
+        ),
+        (
+            Table(["a"], ["o"], rows=[Row(("0",), ("1",))], default=("2",)),
+            "model m: value '2' not in domain of 'o' ('0', '1')",
+        ),
+    ])
+    def test_model_validation_messages(self, table, message):
+        model = Model("m", inputs=["a", "b", "w"], domains={"w": ("r", "g", "b")},
+                      tables=[table])
+        with pytest.raises(BlifMvError) as err:
+            model.validate()
+        assert str(err.value) == message
 
     def test_validation_eq_wrong_column(self):
         with pytest.raises(BlifMvError):

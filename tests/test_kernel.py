@@ -102,6 +102,13 @@ def test_negation_canonicity_de_morgan(e1, e2):
     a, b = build(bdd, e1), build(bdd, e2)
     assert bdd.not_(bdd.and_(a, b)) == bdd.or_(bdd.not_(a), bdd.not_(b))
     assert bdd.not_(bdd.or_(a, b)) == bdd.and_(bdd.not_(a), bdd.not_(b))
+    # The two-operand AND core and the three-operand ITE core agree
+    # handle for handle.
+    F, T = bdd.false, bdd.true
+    assert bdd.and_(a, b) == bdd.ite(a, b, F)
+    assert bdd.or_(a, b) == bdd.ite(a, T, b)
+    assert bdd.diff(a, b) == bdd.ite(a, bdd.not_(b), F)
+    assert bdd.implies(a, b) == bdd.ite(a, b, T)
 
 
 @settings(max_examples=30, deadline=None)

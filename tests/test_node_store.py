@@ -238,7 +238,10 @@ def test_one_slot_cache_thrash_stays_correct():
             assert bdd.eval(f, env) == t.eval(a), (a, env)
 
     for step in range(120):
-        op = rng.choice(["and", "or", "xor", "not", "ite", "exist", "compose"])
+        op = rng.choice([
+            "and", "or", "xor", "not", "ite", "exist", "compose",
+            "diff", "implies", "and_exists",
+        ])
         f, tf = rng.choice(pool)
         g, tg = rng.choice(pool)
         h, th = rng.choice(pool)
@@ -246,6 +249,13 @@ def test_one_slot_cache_thrash_stays_correct():
             r, tr = bdd.and_(f, g), tf & tg
         elif op == "or":
             r, tr = bdd.or_(f, g), tf | tg
+        elif op == "diff":
+            r, tr = bdd.diff(f, g), tf.diff(tg)
+        elif op == "implies":
+            r, tr = bdd.implies(f, g), tf.implies(tg)
+        elif op == "and_exists":
+            cube = rng.sample(range(n), rng.randint(1, 3))
+            r, tr = bdd.and_exists(f, g, cube), tf.and_exists(tg, cube)
         elif op == "xor":
             r, tr = bdd.xor(f, g), tf ^ tg
         elif op == "not":
@@ -270,7 +280,11 @@ def test_one_slot_cache_thrash_stays_correct():
 def test_cache_growth_under_inflight_operator():
     """The growable default cache reallocates its arrays mid-operator;
     handles held by the operator's stack must survive (indices are into
-    the *node* columns, never the cache)."""
+    the *node* columns, never the cache).  Two workloads: ``xor`` runs on
+    the standardized ITE core; ``or_`` and ``and_exists`` (whose joins
+    and products call the AND core directly) write their cache rows
+    inline.  A spy on ``_ck_grow`` checks that the cache really grew
+    under each of them."""
     bdd = BDD()  # growable cache, starts at 4096 entries
     for i in range(14):
         bdd.add_var(f"g{i}")
@@ -287,6 +301,81 @@ def test_cache_growth_under_inflight_operator():
     for row, expect in zip(rows, got):
         env = {f"g{j}": bool(row[j]) for j in range(14)}
         assert bdd.eval(f, env) == bool(expect)
+
+    n = 14
+    bdd = BDD()
+    for i in range(n):
+        bdd.add_var(f"g{i}")
+    grown_under = []
+    grow = bdd._ck_grow
+
+    def spy():
+        names, frame = set(), sys._getframe(1)
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        grown_under.append(names)
+        grow()
+
+    bdd._ck_grow = spy
+    # Row a is the assignment with variable j = bit j of a; every result
+    # is checked on all 2^14 rows against a numpy truth table.
+    rows = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+
+    def exist(table, variables):
+        for j in variables:
+            halves = table.reshape(-1, 2, 1 << j)
+            table = np.broadcast_to(
+                halves.any(axis=1, keepdims=True), halves.shape
+            ).reshape(-1)
+        return table
+
+    def dnf(cubes):
+        f, table = bdd.false, np.zeros(1 << n, dtype=bool)
+        for _ in range(cubes):
+            lits = [(rng.randrange(n), rng.random() < 0.5) for _ in range(4)]
+            f = bdd.or_(f, bdd.literal_cube(lits))
+            table = table | np.all([rows[:, j] == pos for j, pos in lits], axis=0)
+        return f, table
+
+    rng = random.Random(7)
+    pool = [dnf(30) for _ in range(4)]
+    assert any("or_" in names for names in grown_under), "or_ never grew the cache"
+    products = []
+    for _ in range(300):
+        (f, tf), (g, tg) = rng.sample(pool, 2)
+        cube = rng.sample(range(n), 5)
+        products.append((bdd.and_exists(f, g, cube), exist(tf & tg, cube)))
+    assert any("_and_exists" in names for names in grown_under), (
+        "and_exists never grew the cache"
+    )
+    for f, table in pool + products:
+        assert np.array_equal(bdd.eval_batch(f, rows), table)
+
+
+def test_and_exists_calls_no_public_connective():
+    """Quantified splits join their branches, and products below an
+    exhausted cube finish, in the AND core itself: patching the public
+    ``and_``/``or_`` to raise must not disturb ``and_exists``."""
+    bdd = BDD()
+    x = [bdd.var(bdd.add_var(f"x{i}")) for i in range(6)]
+    # Quantifying x0 joins two non-constant branches; below x3 the cube
+    # is exhausted and products over x4, x5 finish in the core.
+    f = bdd.ite(x[0], bdd.and_(x[1], x[2]), bdd.and_(x[3], x[4]))
+    g = bdd.or_(bdd.or_(x[2], x[4]), bdd.xor(x[3], x[5]))
+    quantified = [0, 3]
+    expected = bdd.exist(quantified, bdd.and_(f, g))
+    bdd.clear_cache()
+    joins = bdd.cache_stats()["or"]["lookups"]
+    products = bdd.cache_stats()["and"]["lookups"]
+
+    def refuse(*args):
+        raise AssertionError("and_exists called a public connective")
+
+    bdd.and_ = bdd.or_ = refuse
+    assert bdd.and_exists(f, g, quantified) == expected
+    assert bdd.cache_stats()["or"]["lookups"] > joins
+    assert bdd.cache_stats()["and"]["lookups"] > products
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,53 @@
 """Tests for the static variable-ordering heuristics."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.bdd import BDD
 from repro.bdd.ordering import (
     affinity_order,
     interacting_fsm_order,
     population_order,
 )
+from repro.models import TABLE1, get_spec
+from repro.network import variable_order
+
+
+def cubic_affinity_order(groups, all_items):
+    """The earlier cubic formulation of :func:`affinity_order` (a rescan
+    of every remaining item and an ``index`` tie-break per placement),
+    kept as the reference the quadratic one must reproduce."""
+    affinity = {}
+    weight = {name: 0 for name in all_items}
+    items_set = set(all_items)
+    for group in groups:
+        members = sorted(group & items_set)
+        for i, a in enumerate(members):
+            weight[a] += len(members) - 1
+            for b in members[i + 1:]:
+                affinity[(a, b)] = affinity.get((a, b), 0) + 1
+
+    def pair_affinity(a, b):
+        if a > b:
+            a, b = b, a
+        return affinity.get((a, b), 0)
+
+    remaining = list(all_items)
+    placed = []
+    attraction = {name: 0 for name in all_items}
+    while remaining:
+        if not placed:
+            best = max(remaining, key=lambda n: (weight[n], -all_items.index(n)))
+        else:
+            best = max(
+                remaining,
+                key=lambda n: (attraction[n], weight[n], -all_items.index(n)),
+            )
+        placed.append(best)
+        remaining.remove(best)
+        for n in remaining:
+            attraction[n] += pair_affinity(best, n)
+    return placed
 
 
 class TestAffinityOrder:
@@ -30,6 +72,28 @@ class TestAffinityOrder:
     def test_items_not_in_groups_ignored_in_affinity(self):
         order = affinity_order([{"a", "b", "zz"}], ["a", "b"])
         assert sorted(order) == ["a", "b"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_cubic_reference_on_distinct_items(self, data):
+        n = data.draw(st.integers(0, 14))
+        ids = data.draw(st.permutations(range(n)))
+        # Items are names or positions, as the callers pass them; ids n
+        # and n + 1 stand for group members that are not items.
+        name = (lambda i: f"v{i}") if data.draw(st.booleans()) else (lambda i: i)
+        items = [name(i) for i in ids]
+        groups = data.draw(st.lists(st.sets(st.integers(0, n + 1)), max_size=10))
+        groups = [{name(i) for i in group} for group in groups]
+        assert affinity_order(groups, items) == cubic_affinity_order(groups, items)
+
+    @pytest.mark.parametrize("design", TABLE1)
+    def test_table1_orders_match_cubic_reference(self, design):
+        flat = get_spec(design).flat()
+        groups = [set(t.variables) for t in flat.tables]
+        groups += [{l.input, l.output} for l in flat.latches]
+        assert variable_order(flat) == cubic_affinity_order(
+            groups, flat.declared_variables()
+        )
 
 
 class TestInteractingFsmOrder:

@@ -16,7 +16,7 @@ from repro.network import SymbolicFsm
 
 # Configurations where the monolithic baseline is slow but feasible —
 # at scheduler n=8 the greedy/monolithic peak-size gap is already three
-# orders of magnitude (118 vs ~164k nodes); larger n only times out the
+# orders of magnitude (117 vs ~164k nodes); larger n only times out the
 # baseline without adding information.
 CASES = {
     "scheduler(n=8)": lambda: scheduler.spec(8),

@@ -9,8 +9,9 @@ Python:
 * a computed cache shared by all operations,
 * a two-operand AND core for ``and_``/``or_``/``diff``/``implies`` and
   the standardized three-operand ``ite`` for ``ite``/``xor``/``xnor``,
-* existential/universal quantification and the fused relational product
-  ``and_exists`` (the workhorse of symbolic image computation),
+* the fused relational product ``and_exists`` (the workhorse of symbolic
+  image computation), which also runs existential/universal
+  quantification as the product with ``TRUE``,
 * variable renaming (for present-state/next-state substitution),
 * functional composition, generalized cofactor (``constrain``) and the
   Coudert-Madre ``restrict`` don't-care minimizer,
@@ -82,7 +83,6 @@ _M64 = (1 << 64) - 1
 
 # Opcodes folded into computed-cache signatures: a = (handle << 6) | op.
 _OP_ITE = 1
-_OP_EXIST = 2
 _OP_ANDEX = 3
 _OP_RENAME = 4
 _OP_VCOMP = 5
@@ -93,7 +93,8 @@ _OP_AND = 9
 
 # Every computed-cache-keyed operation, for per-op hit/miss accounting.
 # "and" (and_, diff) and "or" (or_, implies) share the AND core's rows,
-# "xor" (xor, xnor) shares the standardized "ite" rows; each keeps its
+# "xor" (xor, xnor) shares the standardized "ite" rows and "exist"
+# (exist, forall) the relational product's "andex" rows; each keeps its
 # own lookup/hit attribution so callers can see which entry point pays.
 CACHED_OPS = (
     "ite", "and", "or", "xor", "exist", "andex",
@@ -1081,69 +1082,11 @@ class BDD:
             cube = (self._hi[idx] ^ c) if lo == FALSE else lo
         return out
 
-    def _cube_next(self, cube: int) -> int:
-        """The sub-cube below the top variable of a positive cube."""
-        return self._hi[cube >> 1] ^ (cube & 1)
-
     def exist(self, variables, f: int) -> int:
-        """Existentially quantify ``variables`` out of ``f``."""
+        """Existentially quantify ``variables`` out of ``f``: the
+        relational product ``exists variables . f & TRUE``."""
         cube = variables if isinstance(variables, int) else self.cube(variables)
-        return self._exist(cube, f)
-
-    def _exist(self, cube: int, f: int) -> int:
-        stats = self._op_stats["exist"]
-        todo: List[Tuple] = [(_EXPAND, cube, f)]
-        results: List[int] = []
-        while todo:
-            frame = todo.pop()
-            tag = frame[0]
-            if tag == _EXPAND:
-                _, cube, f = frame
-                if f < 2 or cube == TRUE:
-                    results.append(f)
-                    continue
-                # Skip cube variables above f's top.
-                flevel = self._node_level(f)
-                while cube != TRUE and self._node_level(cube) < flevel:
-                    cube = self._cube_next(cube)
-                if cube == TRUE:
-                    results.append(f)
-                    continue
-                a = (cube << 6) | _OP_EXIST
-                stats[0] += 1
-                res = self._ck_get(a, f, 0)
-                if res >= 0:
-                    stats[1] += 1
-                    results.append(res)
-                    continue
-                idx = f >> 1
-                c = f & 1
-                var = self._var[idx]
-                lo, hi = self._lo[idx] ^ c, self._hi[idx] ^ c
-                if self._var[cube >> 1] == var:
-                    sub = self._cube_next(cube)
-                    todo.append((_COMBINE_OR, a, f))
-                    todo.append((_EXPAND, sub, hi))
-                    todo.append((_EXPAND, sub, lo))
-                else:
-                    todo.append((_REDUCE, var, a, f))
-                    todo.append((_EXPAND, cube, hi))
-                    todo.append((_EXPAND, cube, lo))
-            elif tag == _REDUCE:
-                _, var, a, b = frame
-                hi = results.pop()
-                lo = results.pop()
-                res = self._mk(var, lo, hi)
-                self._ck_put(a, b, 0, res)
-                results.append(res)
-            else:  # _COMBINE_OR
-                _, a, b = frame
-                hi = results.pop()
-                lo = results.pop()
-                res = self.or_(lo, hi)
-                self._ck_put(a, b, 0, res)
-                results.append(res)
-        return results.pop()
+        return self._and_exists(f, TRUE, cube, self._op_stats["exist"])
 
     def forall(self, variables, f: int) -> int:
         """Universally quantify ``variables`` out of ``f``."""
@@ -1156,9 +1099,9 @@ class BDD:
         crucial optimization for symbolic image computation (paper §5.3).
         """
         cube = variables if isinstance(variables, int) else self.cube(variables)
-        return self._and_exists(f, g, cube)
+        return self._and_exists(f, g, cube, self._op_stats["andex"])
 
-    def _and_exists(self, f: int, g: int, cube: int) -> int:
+    def _and_exists(self, f: int, g: int, cube: int, stats: List[int]) -> int:
         """Explicit-stack relational product ``exists cube . f & g``.
 
         Terminal children — a ``FALSE`` product, ``TRUE & TRUE``, or an
@@ -1170,7 +1113,9 @@ class BDD:
         makes the then-branch the answer with no join, and any other
         value is joined with the then-branch by ``_and`` on the
         complements.  The public connectives are never called: products
-        count as ``and`` lookups, joins as ``or`` lookups.
+        count as ``and`` lookups, joins as ``or`` lookups, and ``stats``
+        attributes the relational product's own lookups to the calling
+        entry point (``and_exists`` or ``exist``).
         """
         and_ = self._and
         and_stats = self._op_stats["and"]
@@ -1191,7 +1136,6 @@ class BDD:
         ck_mask = self._ck_mask
         lvl_of = self._level_of_var
         mk = self._mk
-        stats = self._op_stats["andex"]
         todo: List[Tuple] = []
         lookups = hits = 0
         while True:

@@ -448,10 +448,10 @@ def encode_table(
     """Characteristic function of one (possibly non-deterministic) table.
 
     Each row's input literals and output literals conjoin as balanced
-    trees (see :func:`repro.network.quantify.tree_reduce`), the two
-    halves of every row conjoin into the row relation, and the row
-    relations OR together the same way alongside the input cover that
-    the default row complements.
+    trees (see :func:`repro.network.quantify.tree_reduce`) and the two
+    halves of every row conjoin into the row relation.  The row
+    relations OR together the same way, and so do the rows' input
+    halves into the input cover that the default row complements.
     """
     bdd = mdd.bdd
     in_lists = [
@@ -464,14 +464,11 @@ def encode_table(
          for entry, name in zip(row.outputs, table.outputs)]
         for row in table.rows
     ]
-    if table.rows:
-        in_parts = tree_reduce(bdd.and_, in_lists, bdd.true)
-        out_parts = tree_reduce(bdd.and_, out_lists, bdd.true)
-        row_nodes = [bdd.and_(i, o) for i, o in zip(in_parts, out_parts)]
-        rows, input_cover = tree_reduce(bdd.or_, [row_nodes, in_parts], bdd.false)
-    else:
-        rows = bdd.false
-        input_cover = bdd.false
+    in_parts = [tree_reduce(bdd.and_, lits, bdd.true) for lits in in_lists]
+    out_parts = [tree_reduce(bdd.and_, lits, bdd.true) for lits in out_lists]
+    row_nodes = [bdd.and_(i, o) for i, o in zip(in_parts, out_parts)]
+    rows = tree_reduce(bdd.or_, row_nodes, bdd.false)
+    input_cover = tree_reduce(bdd.or_, in_parts, bdd.false)
     if table.default is not None:
         default_part = bdd.true
         for entry, name in zip(table.default, table.outputs):

@@ -6,29 +6,30 @@ a variable appears only in conjuncts that have already been multiplied,
 it can be quantified *early* from the partial product, which keeps the
 intermediate BDDs small.  The early quantification problem — find a
 schedule minimizing the peak BDD size — is NP-hard; HSIS ships heuristic
-schedulers ([Hojati-Krishnan-Brayton, UCB M94/11]); we provide three:
+schedulers ([Hojati-Krishnan-Brayton, UCB M94/11]); we provide three
+planners:
 
-* ``greedy`` — bucket elimination by minimum combined support: repeatedly
-  pick the quantifiable variable whose elimination touches the smallest
-  combined support, conjoin exactly the conjuncts mentioning it with a
-  fused ``and_exists``, and put the result back in the pool.
-* ``linear`` — multiply conjuncts in the given order, quantifying each
-  variable as soon as no remaining conjunct mentions it.
-* ``monolithic`` — multiply everything, quantify at the end (the baseline
-  that early quantification beats; kept for the ablation benchmark).
+* ``greedy`` (:func:`plan_schedule`) — bucket elimination by minimum
+  combined support: repeatedly pick the quantifiable variable whose
+  elimination touches the smallest combined support, merge exactly the
+  slots mentioning it and quantify every variable local to them.
+* ``linear`` (:func:`plan_linear`) — multiply conjuncts in the given
+  order, quantifying each variable at its last occurrence.
+* ``monolithic`` (:func:`plan_monolithic`) — multiply everything,
+  quantify at the end (the baseline that early quantification beats;
+  kept for the ablation benchmark).
 
-All schedulers record the peak intermediate size so benchmarks can
-compare memory behaviour, and return the same final BDD (the product
-with all requested variables quantified out).  Every executed
-:class:`ScheduleStep` also emits a ``quantify.step`` trace instant when
-the manager's tracer is enabled.
+A planner reads conjunct supports only and returns the schedule as plain
+data (:class:`ImageSchedule`).  One executor, :func:`execute_schedule`,
+runs every schedule against concrete BDDs: one fused ``and_exists`` per
+step, in plan order, with a GC safe point after each.  It records the
+peak intermediate size so benchmarks can compare memory behaviour, and
+every executed :class:`ScheduleStep` also emits a ``quantify.step``
+trace instant when the manager's tracer is enabled.
 
-For image computations that run the *same* pool against a changing
-frontier every iteration (partitioned reachability), the schedule can be
-computed once from the supports alone (:func:`plan_schedule`) and then
-replayed cheaply against fresh BDDs (:func:`execute_schedule`) — the
-greedy cost function only ever looks at supports, so planning needs no
-BDD operations at all.
+Because planning needs no BDD operations, a pool that runs against a
+changing frontier every iteration (partitioned reachability) is planned
+once and its schedule replayed against fresh BDDs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ class Conjunct:
 
 @dataclass
 class ScheduleStep:
-    """One multiply/quantify step, for introspection and tests."""
+    """One executed multiply/quantify step, for introspection and tests.
+
+    ``combined`` names the merged slots (``s3``) in execution order.
+    """
 
     combined: Tuple[str, ...]
     quantified: Tuple[int, ...]
@@ -93,64 +97,51 @@ def multiply_and_quantify(
     e.g. the conjuncts of one hierarchy instance — that are clustered
     first, eliminating each group's private variables inside the group
     before the global elimination runs (see :func:`plan_schedule`).
+    The method's planner fixes the schedule from the supports, and
+    :func:`execute_schedule` runs it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown scheduling method {method!r}; want one of {METHODS}")
-    pool = [
-        Conjunct(c.node, c.support, c.label or f"r{i}")
-        for i, c in enumerate(conjuncts)
-    ]
-    if not pool:
+    if not conjuncts:
         return QuantifyResult(node=bdd.true, peak_size=1)
+    supports = [c.support for c in conjuncts]
+    if method == "greedy":
+        schedule = plan_schedule(supports, quantify, groups=groups)
+    elif method == "linear":
+        schedule = plan_linear(supports, quantify)
+    else:
+        schedule = plan_monolithic(supports, quantify)
     with bdd.tracer.span(
         "quantify", cat="quantify",
-        method=method, conjuncts=len(pool), variables=len(quantify),
+        method=method, conjuncts=len(conjuncts), variables=len(quantify),
     ) as span:
-        if method == "monolithic":
-            result = _monolithic(bdd, pool, quantify)
-        elif method == "linear":
-            result = _linear(bdd, pool, quantify)
-        elif groups:
-            schedule = plan_schedule(
-                [c.support for c in pool], quantify, groups=groups
-            )
-            result = execute_schedule(bdd, [c.node for c in pool], schedule)
-        else:
-            result = _greedy(bdd, pool, quantify)
+        result = execute_schedule(bdd, [c.node for c in conjuncts], schedule)
         span.add(peak_size=result.peak_size, result_size=bdd.size(result.node))
     return result
 
 
-def _safe_point(bdd: BDD, pool: Iterable[Conjunct], *extra: int) -> None:
-    """Run a pending auto-GC keeping the scheduler's working set alive."""
-    bdd.maybe_gc(extra_roots=[c.node for c in pool] + list(extra))
-
-
 def tree_reduce(
-    combine: Callable[[int, int], int], lists: List[List[int]], identity: int
-) -> List[int]:
-    """Reduce every operand list to one handle with ``combine``.
+    combine: Callable[[int, int], int], items: Sequence[int], identity: int
+) -> int:
+    """Reduce ``items`` to one handle with ``combine``, as a balanced tree.
 
-    Each round combines adjacent operands pairwise within every list,
-    list by list; an odd operand out carries over to the next round, so
-    a list of width w reduces as a balanced tree of depth
-    ``ceil(log2(w))`` (a left fold for up to three operands).  Empty
-    lists reduce to ``identity``.
+    Each round combines adjacent operands pairwise; an odd operand out
+    carries over to the next round, so w operands reduce in a tree of
+    depth ``ceil(log2(w))`` (a left fold for up to three operands).  A
+    single operand costs no operation; no operands reduce to
+    ``identity``.
     """
-    pending = [list(l) for l in lists]
-    while any(len(l) > 1 for l in pending):
+    pending = list(items)
+    while len(pending) > 1:
         pending = [
-            [combine(l[j], l[j + 1]) for j in range(0, len(l) - 1, 2)]
-            + (l[-1:] if len(l) % 2 else [])
-            for l in pending
-        ]
-    return [l[0] if l else identity for l in pending]
+            combine(pending[j], pending[j + 1])
+            for j in range(0, len(pending) - 1, 2)
+        ] + (pending[-1:] if len(pending) % 2 else [])
+    return pending[0] if pending else identity
 
 
-def _reduce_and(
-    bdd: BDD, result: QuantifyResult, lists: List[List[int]]
-) -> List[int]:
-    """Tree-AND every operand list to one node (see :func:`tree_reduce`),
+def _reduce_and(bdd: BDD, result: QuantifyResult, items: Sequence[int]) -> int:
+    """Tree-AND ``items`` to one node (see :func:`tree_reduce`),
     recording every intermediate product in ``result.peak_size``."""
 
     def conjoin(f: int, g: int) -> int:
@@ -158,165 +149,20 @@ def _reduce_and(
         result.peak_size = max(result.peak_size, bdd.size(r))
         return r
 
-    return tree_reduce(conjoin, lists, bdd.true)
-
-
-def _record_step(
-    bdd: BDD,
-    result: QuantifyResult,
-    combined: Tuple[str, ...],
-    quantified: Tuple[int, ...],
-    size: int,
-) -> None:
-    """Append one :class:`ScheduleStep` and mirror it as a trace instant."""
-    result.steps.append(
-        ScheduleStep(combined=combined, quantified=quantified, result_size=size)
-    )
-    if bdd.tracer.enabled:
-        bdd.tracer.instant(
-            "quantify.step", cat="quantify",
-            combined=len(combined), quantified=len(quantified),
-            result_size=size, peak_size=result.peak_size,
-        )
-
-
-def _monolithic(bdd: BDD, pool: List[Conjunct], quantify: Set[int]) -> QuantifyResult:
-    result = QuantifyResult(node=bdd.true, peak_size=1)
-    product = bdd.true
-    for c in pool:
-        product = bdd.and_(product, c.node)
-        size = bdd.size(product)
-        result.peak_size = max(result.peak_size, size)
-        _record_step(bdd, result, (c.label,), (), size)
-        _safe_point(bdd, pool, product)
-    present = quantify & set(bdd.support(product))
-    product = bdd.exist(sorted(present), product)
-    size = bdd.size(product)
-    result.peak_size = max(result.peak_size, size)
-    _record_step(bdd, result, (), tuple(sorted(present)), size)
-    result.node = product
-    return result
-
-
-def _linear(bdd: BDD, pool: List[Conjunct], quantify: Set[int]) -> QuantifyResult:
-    result = QuantifyResult(node=bdd.true, peak_size=1)
-    product = bdd.true
-    product_support: Set[int] = set()
-    for idx, c in enumerate(pool):
-        remaining = pool[idx + 1:]
-        # Quantify, during this conjunction, every variable whose last
-        # occurrence is this conjunct.
-        dying = {
-            v
-            for v in (quantify & (c.support | product_support))
-            if all(v not in r.support for r in remaining)
-        }
-        product = bdd.and_exists(product, c.node, sorted(dying))
-        product_support = set(bdd.support(product))
-        size = bdd.size(product)
-        result.peak_size = max(result.peak_size, size)
-        _record_step(bdd, result, (c.label,), tuple(sorted(dying)), size)
-        _safe_point(bdd, remaining, product)
-    result.node = product
-    return result
-
-
-def _greedy(bdd: BDD, pool: List[Conjunct], quantify: Set[int]) -> QuantifyResult:
-    """Bucket elimination with an incremental var -> cluster index.
-
-    ``by_var`` maps each variable to the ids of the live conjuncts whose
-    support mentions it; it is updated on every merge, so picking the
-    cheapest variable inspects only the clusters that actually contain
-    it instead of rescanning the whole pool per pending variable
-    (previously O(|pending|² · |pool| · |support|) across a run).
-    Conjunct ids increase monotonically and ``table`` preserves
-    insertion order, which reproduces the original pool-order semantics
-    exactly (rest in input order, merged cluster appended).
-    """
-    result = QuantifyResult(node=bdd.true, peak_size=1)
-    table: Dict[int, Conjunct] = dict(enumerate(pool))
-    next_id = len(pool)
-    by_var: Dict[int, Set[int]] = {}
-    for cid, c in table.items():
-        for v in c.support:
-            by_var.setdefault(v, set()).add(cid)
-    pending = {v for v in quantify if by_var.get(v)}
-    while pending:
-        # Cheapest variable: smallest combined support of the cluster
-        # that mentions it (ties broken by cluster size then var index).
-        def cost(var: int) -> Tuple[int, int, int]:
-            union: Set[int] = set()
-            for cid in by_var[var]:
-                union |= table[cid].support
-            return (len(union), len(by_var[var]), var)
-
-        var = min(pending, key=cost)
-        cluster_ids = sorted(by_var[var])
-        cluster_id_set = set(cluster_ids)
-        cluster = [table[cid] for cid in cluster_ids]
-        # Quantify var plus any pending variable entirely local to the cluster.
-        local = {
-            v for v in pending
-            if by_var.get(v) and by_var[v] <= cluster_id_set
-        }
-        cluster.sort(key=lambda c: len(c.support))
-        if len(cluster) > 1:
-            [product] = _reduce_and(
-                bdd, result, [[c.node for c in cluster[:-1]]]
-            )
-            product = bdd.and_exists(product, cluster[-1].node, sorted(local))
-        else:
-            product = bdd.exist(sorted(local), cluster[0].node)
-        size = bdd.size(product)
-        result.peak_size = max(result.peak_size, size)
-        _record_step(
-            bdd, result,
-            tuple(c.label for c in cluster), tuple(sorted(local)), size,
-        )
-        merged = Conjunct(
-            node=product,
-            support=frozenset(bdd.support(product)),
-            label="(" + "*".join(c.label for c in cluster) + ")",
-        )
-        # Incremental index update: retire the cluster, append the merge.
-        for cid in cluster_ids:
-            for v in table[cid].support:
-                ids = by_var[v]
-                ids.discard(cid)
-                if not ids:
-                    del by_var[v]
-            del table[cid]
-        table[next_id] = merged
-        for v in merged.support:
-            by_var.setdefault(v, set()).add(next_id)
-        next_id += 1
-        pending -= local
-        pending = {v for v in pending if by_var.get(v)}
-        _safe_point(bdd, table.values())
-    # Conjoin whatever is left (no quantifiable variables remain).
-    live = sorted(table.values(), key=lambda c: len(c.support))
-    [product] = _reduce_and(bdd, result, [[c.node for c in live]])
-    _safe_point(bdd, live, product)
-    if live:
-        _record_step(
-            bdd, result,
-            tuple(c.label for c in live), (), bdd.size(product),
-        )
-    result.node = product
-    return result
+    return tree_reduce(conjoin, items, bdd.true)
 
 
 # ----------------------------------------------------------------------
-# Reusable schedules (partitioned image computation)
+# Schedules as data: three planners, one executor
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PlanStep:
     """One planned merge: conjoin ``merge`` slots, quantify ``quantify``.
 
-    ``merge`` lists input slots in execution order (smallest planned
-    support first, mirroring the greedy executor); the product lands in
-    slot ``result``.
+    ``merge`` lists slots in execution order: all but the last conjoin
+    first, and the last enters the fused relational product.  The
+    product lands in the fresh slot ``result``.
     """
 
     merge: Tuple[int, ...]
@@ -326,16 +172,62 @@ class PlanStep:
 
 @dataclass
 class ImageSchedule:
-    """A frozen greedy schedule, replayable against fresh conjunct BDDs.
+    """A planned schedule, replayable against fresh conjunct BDDs.
 
     ``inputs`` is the number of input slots; ``steps`` the planned
-    merges; ``tail`` the slots conjoined (without quantification) at the
-    end, in execution order.
+    merges in execution order; ``tail`` the slots conjoined (without
+    quantification) at the end, in execution order.
     """
 
     inputs: int
     steps: List[PlanStep]
     tail: Tuple[int, ...]
+
+
+def plan_linear(
+    supports: Sequence[FrozenSet[int]], quantify: Set[int]
+) -> ImageSchedule:
+    """Plan a linear multiply-and-quantify in pool order.
+
+    Step 0 takes slot 0 alone; step ``i`` merges the previous product
+    with slot ``i`` and quantifies the variables whose last occurrence
+    is slot ``i``.
+    """
+    n = len(supports)
+    last: Dict[int, int] = {}
+    for i, support in enumerate(supports):
+        for v in support:
+            last[v] = i
+    steps = [
+        PlanStep(
+            merge=(i,) if i == 0 else (n + i - 1, i),
+            quantify=tuple(sorted(
+                v for v in support if v in quantify and last[v] == i
+            )),
+            result=n + i,
+        )
+        for i, support in enumerate(supports)
+    ]
+    return ImageSchedule(inputs=n, steps=steps, tail=(2 * n - 1,) if n else ())
+
+
+def plan_monolithic(
+    supports: Sequence[FrozenSet[int]], quantify: Set[int]
+) -> ImageSchedule:
+    """Plan the baseline: the linear chain with nothing quantified, then
+    one step that quantifies every requested variable from the full
+    product."""
+    chain = plan_linear(supports, set())
+    if not supports:
+        return chain
+    final = PlanStep(
+        merge=chain.tail,
+        quantify=tuple(sorted(set().union(*supports).intersection(quantify))),
+        result=2 * len(supports),
+    )
+    return ImageSchedule(
+        inputs=len(supports), steps=chain.steps + [final], tail=(final.result,)
+    )
 
 
 def plan_schedule(
@@ -452,18 +344,15 @@ def _plan_greedy_phase(
 def execute_schedule(
     bdd: BDD, nodes: Sequence[int], schedule: ImageSchedule
 ) -> QuantifyResult:
-    """Replay a planned schedule against concrete conjunct BDDs.
+    """Run a planned schedule against concrete conjunct BDDs.
 
     ``nodes[i]`` fills input slot ``i``; the slot count must match the
-    plan.  No scheduling decisions are made here — this is the cheap
-    per-iteration half of a plan-once/run-many partitioned image.
-
-    Steps execute in dependency *waves*: every step whose merge slots
-    are all filled runs in the current wave.  The wave's merge prefixes
-    tree-reduce jointly through :func:`_reduce_and`, then the wave's
-    quantification cubes are built, then its fused relational products
-    run, each in plan order.  GC safe points sit between waves, never
-    inside one.
+    plan.  No scheduling decisions are made here.  Each step, in plan
+    order, tree-ANDs its merge slots but the last (see
+    :func:`_reduce_and`) and runs one fused ``exists quantify . prefix &
+    last``; its slots are dropped, its product fills its result slot,
+    and a GC safe point keeps every live slot.  The tail slots are
+    conjoined at the end.
     """
     if len(nodes) != schedule.inputs:
         raise ValueError(
@@ -471,35 +360,25 @@ def execute_schedule(
         )
     result = QuantifyResult(node=bdd.true, peak_size=1)
     slots: Dict[int, int] = dict(enumerate(nodes))
-    remaining = list(schedule.steps)
-    while remaining:
-        ready = [s for s in remaining if all(i in slots for i in s.merge)]
-        if not ready:  # defensive: a well-formed plan always progresses
-            raise ValueError("image schedule has an unsatisfiable step")
-        remaining = [s for s in remaining if not all(i in slots for i in s.merge)]
-        # exists vars . (s_0 & ... & s_k-2) & s_k-1, one product per step;
-        # single-slot merges degenerate to exists vars . TRUE & s_0.
-        prefixes = _reduce_and(
-            bdd, result,
-            [[slots[i] for i in step.merge[:-1]] for step in ready],
-        )
-        cubes = [bdd.cube(step.quantify) for step in ready]
-        products = [
-            bdd.and_exists(prefix, slots[step.merge[-1]], cube)
-            for step, prefix, cube in zip(ready, prefixes, cubes)
-        ]
-        for step, product in zip(ready, products):
-            size = bdd.size(product)
-            result.peak_size = max(result.peak_size, size)
-            _record_step(
-                bdd, result,
-                tuple(f"s{i}" for i in step.merge), step.quantify, size,
+    for step in schedule.steps:
+        operands = [slots.pop(i) for i in step.merge]
+        prefix = _reduce_and(bdd, result, operands[:-1])
+        product = bdd.and_exists(prefix, operands[-1], step.quantify)
+        size = bdd.size(product)
+        result.peak_size = max(result.peak_size, size)
+        result.steps.append(ScheduleStep(
+            combined=tuple(f"s{i}" for i in step.merge),
+            quantified=step.quantify,
+            result_size=size,
+        ))
+        if bdd.tracer.enabled:
+            bdd.tracer.instant(
+                "quantify.step", cat="quantify",
+                combined=len(step.merge), quantified=len(step.quantify),
+                result_size=size, peak_size=result.peak_size,
             )
-            for i in step.merge:
-                del slots[i]
-            slots[step.result] = product
+        slots[step.result] = product
         bdd.maybe_gc(extra_roots=list(slots.values()))
-    [product] = _reduce_and(bdd, result, [[slots[i] for i in schedule.tail]])
-    bdd.maybe_gc(extra_roots=list(slots.values()) + [product])
-    result.node = product
+    result.node = _reduce_and(bdd, result, [slots[i] for i in schedule.tail])
+    bdd.maybe_gc(extra_roots=list(slots.values()) + [result.node])
     return result

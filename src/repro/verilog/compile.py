@@ -366,7 +366,11 @@ class _ModuleCompiler:
         sequential: bool,
     ) -> Dict[str, Optional[Expr]]:
         merged: Dict[str, Optional[Expr]] = {}
-        for target in set(then_env) | set(else_env):
+        # The then-branch's targets in dict order, then those only the
+        # else branch assigns (a set would tie table order and net
+        # names to the hash seed).
+        targets = list(then_env) + [t for t in else_env if t not in then_env]
+        for target in targets:
             hold: Optional[Expr] = Id(target) if sequential else None
             then_val = then_env.get(target, hold)
             else_val = else_env.get(target, hold)

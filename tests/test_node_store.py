@@ -356,7 +356,8 @@ def test_cache_growth_under_inflight_operator():
 def test_and_exists_calls_no_public_connective():
     """Quantified splits join their branches, and products below an
     exhausted cube finish, in the AND core itself: patching the public
-    ``and_``/``or_`` to raise must not disturb ``and_exists``."""
+    ``and_``/``or_`` to raise must not disturb ``and_exists``, nor
+    ``exist``/``forall``, which run on the same relational product."""
     bdd = BDD()
     x = [bdd.var(bdd.add_var(f"x{i}")) for i in range(6)]
     # Quantifying x0 joins two non-constant branches; below x3 the cube
@@ -365,17 +366,23 @@ def test_and_exists_calls_no_public_connective():
     g = bdd.or_(bdd.or_(x[2], x[4]), bdd.xor(x[3], x[5]))
     quantified = [0, 3]
     expected = bdd.exist(quantified, bdd.and_(f, g))
+    some = bdd.exist(quantified, f)
+    every = bdd.forall(quantified, f)
     bdd.clear_cache()
     joins = bdd.cache_stats()["or"]["lookups"]
     products = bdd.cache_stats()["and"]["lookups"]
 
     def refuse(*args):
-        raise AssertionError("and_exists called a public connective")
+        raise AssertionError("a quantifier called a public connective")
 
     bdd.and_ = bdd.or_ = refuse
     assert bdd.and_exists(f, g, quantified) == expected
     assert bdd.cache_stats()["or"]["lookups"] > joins
     assert bdd.cache_stats()["and"]["lookups"] > products
+    exists_before = bdd.cache_stats()["exist"]["lookups"]
+    assert bdd.exist(quantified, f) == some
+    assert bdd.forall(quantified, f) == every
+    assert bdd.cache_stats()["exist"]["lookups"] > exists_before
 
 
 # ---------------------------------------------------------------------------

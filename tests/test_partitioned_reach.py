@@ -7,10 +7,8 @@ from repro.models import get_spec
 from repro.models.gallery import GALLERY
 from repro.network import SymbolicFsm
 from repro.network.quantify import (
-    Conjunct,
     execute_schedule,
     make_conjuncts,
-    multiply_and_quantify,
     plan_schedule,
 )
 from repro.trace import Tracer
@@ -70,7 +68,10 @@ def test_partition_plan_invalidated_by_pool_changes():
 
 
 def test_plan_schedule_matches_greedy_result():
-    """Replaying a support-planned schedule equals direct greedy runs."""
+    """A replayed greedy plan equals the naive product-then-quantify
+    reference, on the conjuncts it was planned for and on different
+    conjunct values whose quantified variables sit in the same slots
+    (the partitioned-image use case)."""
     from repro.bdd.manager import BDD
 
     bdd = BDD()
@@ -83,20 +84,14 @@ def test_plan_schedule_matches_greedy_result():
     ]
     conjuncts = make_conjuncts(bdd, [(node, f"c{i}") for i, node in enumerate(f)])
     quantify = {v[1], v[2], v[3]}
-    direct = multiply_and_quantify(bdd, conjuncts, quantify, method="greedy")
+
+    def naive(nodes):
+        return bdd.exist(sorted(quantify), bdd.conj(nodes))
+
     plan = plan_schedule([c.support for c in conjuncts], quantify)
-    replayed = execute_schedule(bdd, [c.node for c in conjuncts], plan)
-    assert replayed.node == direct.node
-    # The plan replays identically on *different* conjunct values with
-    # the same supports (the partitioned-image use case).
+    assert execute_schedule(bdd, f, plan).node == naive(f)
     g = [bdd.and_(node, bdd.or_(bdd.var(v[0]), bdd.var(v[5]))) for node in f]
-    replayed2 = execute_schedule(bdd, g, plan)
-    g_conj = [
-        Conjunct(node=node, support=c.support, label=c.label)
-        for node, c in zip(g, conjuncts)
-    ]
-    direct2 = multiply_and_quantify(bdd, g_conj, quantify, method="greedy")
-    assert replayed2.node == direct2.node
+    assert execute_schedule(bdd, g, plan).node == naive(g)
 
 
 def test_execute_schedule_rejects_wrong_arity():

@@ -5,6 +5,10 @@ behaviour (reached states, functions) rather than the BLIF-MV text — the
 lowering is free to choose its table decomposition.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.blifmv import flatten
@@ -373,3 +377,25 @@ endmodule
         design = compile_verilog(src)
         again = flatten(parse(write(design)))
         assert again.sources["a"].startswith("m.v:")
+
+
+def test_blifmv_text_independent_of_hash_seed():
+    """if/else merging must not iterate a set: the BLIF-MV text of every
+    Table-1 design is the same under any ``PYTHONHASHSEED``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "from repro.blifmv.writer import write\n"
+        "from repro.models import TABLE1, get_spec\n"
+        "for name in TABLE1:\n"
+        "    sys.stdout.write(write(get_spec(name).design))\n"
+    )
+    texts = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        texts.add(done.stdout)
+    assert len(texts) == 1

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import engine_columns
 from paper_data import PAPER_TABLE1
+from repro.config import EngineConfig
 from repro.ctl import ModelChecker
 from repro.lc import check_containment
 from repro.models import TABLE1, get_spec
@@ -35,7 +36,9 @@ _AUTO_GC = int(os.environ["HSIS_AUTO_GC"]) if "HSIS_AUTO_GC" in os.environ else 
 
 
 def make_fsm(flat):
-    return SymbolicFsm(flat, auto_gc=_AUTO_GC, cache_limit=_CACHE_LIMIT)
+    return SymbolicFsm(
+        flat, config=EngineConfig(auto_gc=_AUTO_GC, cache_limit=_CACHE_LIMIT)
+    )
 
 
 def spec_for(name):

@@ -248,7 +248,7 @@ class Automaton:
             # Completeness is relative to valid input encodings.
             space = bdd.true
             for e in edges:
-                for v in _guard_vars(e.guard):
+                for v in sorted(_guard_vars(e.guard)):
                     space = bdd.and_(space, fsm.var(v).domain_constraint)
             if bdd.diff(space, cover) != bdd.false:
                 problems.append(f"{self.name}: state {src} is incomplete")
@@ -318,9 +318,11 @@ class AttachedMonitor:
         return self.x.literal(list(states))
 
     def edge_bdd(self, keys: Iterable[EdgeKey]) -> int:
+        # Sorted, so the node build order never depends on set hashing.
         bdd = self.fsm.bdd
         return bdd.disj(
-            bdd.and_(self.x.literal(src), self.y.literal(dst)) for src, dst in keys
+            bdd.and_(self.x.literal(src), self.y.literal(dst))
+            for src, dst in sorted(keys)
         )
 
     def rabin_pairs_bdd(self) -> List[RabinPair]:

@@ -49,6 +49,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.trace.tracer import Tracer
 
 #: Shared disabled tracer; replaced per-manager via the ``tracer``
@@ -122,7 +123,8 @@ class BDD:
     :meth:`compact` safe-point operation moves nodes (and remaps the
     registered roots while doing so).
 
-    The manager manages its own resources:
+    The manager manages its own resources, configured by the kernel
+    fields of its :class:`~repro.config.EngineConfig`:
 
     * ``cache_limit`` bounds the computed cache: the cache is a
       direct-mapped array of at most ``cache_limit`` rows (rounded down
@@ -145,18 +147,7 @@ class BDD:
       well-ordered manager is never sifted twice in a row.
     """
 
-    def __init__(
-        self,
-        auto_gc: Optional[int] = None,
-        cache_limit: Optional[int] = None,
-        auto_reorder: Optional[int] = None,
-    ) -> None:
-        if auto_gc is not None and auto_gc < 1:
-            raise BddError("auto_gc threshold must be positive (or None)")
-        if cache_limit is not None and cache_limit < 1:
-            raise BddError("cache_limit must be positive (or None)")
-        if auto_reorder is not None and auto_reorder < 1:
-            raise BddError("auto_reorder threshold must be positive (or None)")
+    def __init__(self, config: EngineConfig = DEFAULT_CONFIG) -> None:
         # Flat node columns.  Index 0 is the single terminal (constant
         # one); unallocated slots keep var == -1 so column scans can skip
         # them without consulting the free list.
@@ -177,8 +168,8 @@ class BDD:
         # Direct-mapped computed cache: signature columns a/b/c and the
         # result column r.  a == -1 marks an empty row (signatures are
         # always non-negative: a = (handle << 6) | opcode).
-        if cache_limit is not None:
-            ck_size = 1 << (cache_limit.bit_length() - 1)
+        if config.cache_limit is not None:
+            ck_size = 1 << (config.cache_limit.bit_length() - 1)
             self._ck_growable = False
         else:
             ck_size = _INITIAL_CACHE_SIZE
@@ -209,17 +200,18 @@ class BDD:
         self._roots: Dict[str, int] = {}
         self.gc_count = 0
         self.compact_count = 0
-        # Resource management knobs and telemetry.
-        self.auto_gc = auto_gc
-        self.cache_limit = cache_limit
-        self.auto_reorder = auto_reorder
+        # Resource management settings (copied out of the config so
+        # _mk reads plain attributes) and telemetry.
+        self.config = config
+        self.auto_gc = config.auto_gc
+        self.auto_reorder = config.auto_reorder
         self.cache_evictions = 0
         self.peak_live_nodes = 2
         self._gc_pending = False
         self._nodes_since_gc = 0
         self._reorder_pending = False
         self._in_reorder = False
-        self._reorder_watermark = auto_reorder if auto_reorder is not None else 0
+        self._reorder_watermark = self.auto_reorder or 0
         self.reorder_count = 0
         self.sift_swaps = 0
         self.sift_fast_swaps = 0

@@ -31,11 +31,6 @@ def minterm(bdd: BDD, assignment: Dict) -> int:
     return bdd.literal_cube(assignment.items())
 
 
-def iter_minterms(bdd: BDD, f: int, care_vars: Sequence) -> Iterable[Dict[int, bool]]:
-    """Alias of :meth:`BDD.sat_iter` kept for API symmetry."""
-    return bdd.sat_iter(f, care_vars)
-
-
 def disjoint(bdd: BDD, f: int, g: int) -> bool:
     """True iff ``f & g`` is unsatisfiable."""
     return bdd.and_(f, g) == bdd.false

@@ -27,6 +27,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.blifmv import elaborate, flatten, parse_file as parse_blifmv_file, write_file
+from repro.config import DEFAULT_CONFIG, FIELDS, EngineConfig, add_flags
 from repro.ctl import ModelChecker, parse_ctl
 from repro.debug import CtlDebugger, format_lc_report
 from repro.lc import check_containment
@@ -46,15 +47,11 @@ class HsisShell:
 
     def __init__(
         self,
-        auto_gc: Optional[int] = None,
-        cache_limit: Optional[int] = None,
-        auto_reorder: Optional[int] = None,
+        config: EngineConfig = DEFAULT_CONFIG,
         show_stats: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.auto_gc = auto_gc
-        self.cache_limit = cache_limit
-        self.auto_reorder = auto_reorder
+        self.config = config
         self.show_stats = show_stats
         self.tracer = tracer
         self.design = None
@@ -113,10 +110,7 @@ class HsisShell:
     # -- design loading ---------------------------------------------------
 
     def _make_fsm(self, flat) -> SymbolicFsm:
-        return SymbolicFsm(
-            flat, auto_gc=self.auto_gc, cache_limit=self.cache_limit,
-            auto_reorder=self.auto_reorder, tracer=self.tracer,
-        )
+        return SymbolicFsm(flat, config=self.config, tracer=self.tracer)
 
     def _after_load(self) -> str:
         assert self.design is not None
@@ -494,7 +488,7 @@ class HsisShell:
             seed0 = int(args[1]) if len(args) > 1 else 0
         except ValueError as exc:
             raise CliError(f"fuzz: bad number: {exc}")
-        sweep = run_sweep(trials, seed0=seed0, auto_reorder=self.auto_reorder)
+        sweep = run_sweep(trials, seed0=seed0, config=self.config)
         return sweep.summary()
 
     def cmd_help(self, args: List[str]) -> str:
@@ -574,30 +568,7 @@ def _fuzz_main(argv: List[str]) -> int:
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="shard the seed range across N worker processes (default 1)",
     )
-    parser.add_argument(
-        "--auto-reorder", type=_positive_int, default=None, metavar="N",
-        help=(
-            "arm dynamic variable reordering (sifting at safe points) in "
-            "every engine under test once its table exceeds N nodes"
-        ),
-    )
-    parser.add_argument(
-        "--portfolio", type=_positive_int, default=None, metavar="K",
-        help=(
-            "exercise the first K ordering-portfolio heuristics: trial i "
-            "runs under heuristic i mod K (deterministic round-robin, no "
-            "racing; see docs/ordering.md)"
-        ),
-    )
-    parser.add_argument(
-        "--shared-shapes", action="store_true",
-        help=(
-            "exercise shared-shape elaboration: every trial additionally "
-            "runs a two-instance replica of the generated design through "
-            "both shared-shape and plain-flatten encodes and diffs their "
-            "reachable state sets (see docs/hierarchy.md)"
-        ),
-    )
+    add_flags(parser, ("auto_reorder", "portfolio", "shared_shapes"))
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help=(
@@ -606,6 +577,7 @@ def _fuzz_main(argv: List[str]) -> int:
         ),
     )
     opts = parser.parse_args(argv)
+    config = EngineConfig.of(vars(opts))
     stats = EngineStats()
     if opts.trace:
         stats.tracer = Tracer()
@@ -626,9 +598,7 @@ def _fuzz_main(argv: List[str]) -> int:
             corpus_dir=opts.corpus,
             shrink=not opts.no_shrink,
             progress=progress,
-            auto_reorder=opts.auto_reorder,
-            portfolio=opts.portfolio,
-            shared_shapes=opts.shared_shapes,
+            config=config,
         )
     else:
         sweep = run_sweep(
@@ -638,9 +608,7 @@ def _fuzz_main(argv: List[str]) -> int:
             corpus_dir=opts.corpus,
             shrink=not opts.no_shrink,
             progress=progress,
-            auto_reorder=opts.auto_reorder,
-            portfolio=opts.portfolio,
-            shared_shapes=opts.shared_shapes,
+            config=config,
         )
     print(sweep.summary())
     if opts.stats:
@@ -668,14 +636,7 @@ def _check_main(argv: List[str]) -> int:
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="check up to N properties concurrently (default 1)",
     )
-    parser.add_argument(
-        "--portfolio", type=_positive_int, default=None, metavar="K",
-        help=(
-            "race K candidate variable orders as worker processes, keep "
-            "the first finisher, and remember the winning order per "
-            "design in the order cache (see docs/ordering.md)"
-        ),
-    )
+    add_flags(parser, ("portfolio", "shared_shapes"), shared_shapes=True)
     parser.add_argument(
         "--orders-dir", default=None, metavar="DIR",
         help="winning-order cache directory (default .hsis-orders)",
@@ -692,19 +653,6 @@ def _check_main(argv: List[str]) -> int:
         help="per-property deadline; overrunning checks report as timeout",
     )
     parser.add_argument(
-        "--shared-shapes", dest="shared_shapes", action="store_true",
-        default=True,
-        help=(
-            "encode each distinct subcircuit shape once and instantiate "
-            "replicas by variable substitution (default; no-op on "
-            "single-instance designs, overridden by --portfolio)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shared-shapes", dest="shared_shapes", action="store_false",
-        help="always encode every instance's tables from scratch",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print aggregate engine statistics after the run",
     )
@@ -716,6 +664,7 @@ def _check_main(argv: List[str]) -> int:
         ),
     )
     opts = parser.parse_args(argv)
+    config = EngineConfig.of(vars(opts))
     try:
         if opts.design.endswith(".v"):
             with open(opts.design) as handle:
@@ -734,14 +683,14 @@ def _check_main(argv: List[str]) -> int:
     stats = EngineStats()
     if opts.trace:
         stats.tracer = Tracer()
-    if opts.portfolio is not None:
+    if config.portfolio is not None:
         from repro.ordering_portfolio import DEFAULT_ORDERS_DIR, run_portfolio_check
 
         verdicts, provenance = run_portfolio_check(
             flat,
             pif.ctl_props,
             pif.fairness,
-            k=opts.portfolio,
+            k=config.portfolio,
             orders_dir=opts.orders_dir or DEFAULT_ORDERS_DIR,
             stats=stats,
             timeout=opts.timeout,
@@ -755,7 +704,7 @@ def _check_main(argv: List[str]) -> int:
         # The ordering portfolio extracts features from the flat model;
         # --portfolio therefore keeps the plain-flatten path above.
         verdicts = check_properties(
-            elab if opts.shared_shapes else flat,
+            elab if config.shared_shapes else flat,
             pif.ctl_props,
             pif.fairness,
             jobs=opts.jobs,
@@ -860,37 +809,22 @@ def _profile_main(argv: List[str]) -> int:
         "--no-mc", action="store_true",
         help="skip model checking even when properties are available",
     )
-    parser.add_argument(
-        "--auto-reorder", type=_positive_int, default=None, metavar="N",
-        help="arm dynamic variable reordering past N live nodes",
-    )
-    parser.add_argument(
-        "--shared-shapes", dest="shared_shapes", action="store_true",
-        default=True,
-        help=(
-            "encode each distinct subcircuit shape once and instantiate "
-            "replicas by variable substitution (default; no-op on "
-            "single-instance designs)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shared-shapes", dest="shared_shapes", action="store_false",
-        help="always encode every instance's tables from scratch",
-    )
+    add_flags(parser, ("auto_reorder", "shared_shapes"), shared_shapes=True)
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="also write the raw trace (.jsonl / .txt / Chrome JSON)",
     )
     opts = parser.parse_args(argv)
+    config = EngineConfig.of(vars(opts))
     try:
         name, flat, pif = _load_profile_design(
-            opts.design, opts.pif, shared_shapes=opts.shared_shapes
+            opts.design, opts.pif, shared_shapes=config.shared_shapes
         )
     except (OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     tracer = Tracer()
-    fsm = SymbolicFsm(flat, tracer=tracer, auto_reorder=opts.auto_reorder)
+    fsm = SymbolicFsm(flat, config=config, tracer=tracer)
     if not opts.partitioned:
         fsm.build_transition(method=opts.method)
     reach = fsm.reachable(partitioned=opts.partitioned)
@@ -1041,7 +975,7 @@ def _client_main(argv: List[str]) -> int:
     import asyncio
     import json
 
-    from repro.serve import ServeClient, ServeError
+    from repro.serve import KNOB_DEFAULTS, ServeClient, ServeError
 
     parser = argparse.ArgumentParser(
         prog="hsis client",
@@ -1062,27 +996,16 @@ def _client_main(argv: List[str]) -> int:
     p_profile = sub.add_parser("profile", help="reachability profile")
     p_profile.add_argument("design", help=".mv/.v file or gallery:NAME")
     p_profile.add_argument("--method", default=None, metavar="M")
-    p_profile.add_argument("--partitioned", action="store_true")
-    for p in (p_check, p_fuzz, p_profile):
-        p.add_argument("--auto-reorder", type=_positive_int, default=None,
-                       metavar="N")
+    p_profile.add_argument("--partitioned", action="store_true", default=None)
+    for kind, defaults in KNOB_DEFAULTS.items():
+        p = sub.choices[kind]
+        # The settings a job kind accepts; unset means the server default.
+        settings = [name for name in FIELDS if name in defaults]
+        add_flags(p, settings, **dict.fromkeys(settings))
         p.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS")
         p.add_argument("--stream", action="store_true",
                        help="print per-job tracer events as they stream")
-        p.add_argument("--shared-shapes", dest="shared_shapes",
-                       action="store_true", default=None,
-                       help="force shared-shape encoding on")
-        p.add_argument("--no-shared-shapes", dest="shared_shapes",
-                       action="store_false",
-                       help="force shared-shape encoding off")
-    p_check.add_argument("--cache-limit", type=_positive_int, default=None,
-                         metavar="N")
-    p_check.add_argument("--auto-gc", type=_positive_int, default=None,
-                         metavar="N")
-    p_check.add_argument("--portfolio", type=_positive_int, default=None,
-                         metavar="K",
-                         help="race K candidate variable orders server-side")
     p_status = sub.add_parser("status", help="queue / cache / stats snapshot")
     p_status.add_argument("job", nargs="?", default=None)
     p_cancel = sub.add_parser("cancel", help="cancel a queued or running job")
@@ -1106,32 +1029,16 @@ def _client_main(argv: List[str]) -> int:
                 print(json.dumps(await client.cancel(opts.job), indent=2,
                                  sort_keys=True))
                 return 0
-            knobs = {}
-            design = None
+            knobs = {
+                name: getattr(opts, name)
+                for name in KNOB_DEFAULTS[opts.verb]
+                if getattr(opts, name) is not None
+            }
+            design = None if opts.verb == "fuzz" else _client_design_arg(opts.design)
             pif = None
-            if opts.verb == "fuzz":
-                for name in ("trials", "seed", "auto_reorder"):
-                    if getattr(opts, name) is not None:
-                        knobs[name] = getattr(opts, name)
-            else:
-                design = _client_design_arg(opts.design)
-                if opts.verb == "check":
-                    if opts.pif is not None:
-                        with open(opts.pif) as handle:
-                            pif = handle.read()
-                    for name in ("auto_reorder", "cache_limit", "auto_gc",
-                                 "portfolio"):
-                        if getattr(opts, name) is not None:
-                            knobs[name] = getattr(opts, name)
-                else:
-                    if opts.method is not None:
-                        knobs["method"] = opts.method
-                    if opts.partitioned:
-                        knobs["partitioned"] = True
-                    if opts.auto_reorder is not None:
-                        knobs["auto_reorder"] = opts.auto_reorder
-            if opts.shared_shapes is not None:
-                knobs["shared_shapes"] = opts.shared_shapes
+            if opts.verb == "check" and opts.pif is not None:
+                with open(opts.pif) as handle:
+                    pif = handle.read()
             on_event = None
             if opts.stream:
                 def on_event(line):
@@ -1176,21 +1083,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--stats", action="store_true",
         help="print engine statistics when the run finishes",
     )
-    parser.add_argument(
-        "--auto-gc", type=_positive_int, default=None, metavar="N",
-        help="auto-collect dead BDD nodes every N allocations",
-    )
-    parser.add_argument(
-        "--cache-limit", type=_positive_int, default=None, metavar="N",
-        help="bound the BDD computed cache to N entries",
-    )
-    parser.add_argument(
-        "--auto-reorder", type=_positive_int, default=None, metavar="N",
-        help=(
-            "arm dynamic variable reordering (sifting at engine safe "
-            "points) once the BDD table exceeds N live nodes"
-        ),
-    )
+    add_flags(parser, ("auto_gc", "cache_limit", "auto_reorder"))
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help=(
@@ -1201,11 +1094,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     opts = parser.parse_args(argv)
     tracer = Tracer() if opts.trace else None
     shell = HsisShell(
-        auto_gc=opts.auto_gc,
-        cache_limit=opts.cache_limit,
-        auto_reorder=opts.auto_reorder,
-        show_stats=opts.stats,
-        tracer=tracer,
+        config=EngineConfig.of(vars(opts)), show_stats=opts.stats, tracer=tracer,
     )
     if opts.script:
         try:

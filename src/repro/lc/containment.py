@@ -58,8 +58,6 @@ def check_containment(
     quantify_method: str = "greedy",
     early_fail: bool = True,
     early_fail_interval: int = 4,
-    auto_gc: Optional[int] = None,
-    cache_limit: Optional[int] = None,
 ) -> LcResult:
     """Check that every fair behaviour of ``system`` is accepted by
     ``automaton``.
@@ -68,14 +66,9 @@ def check_containment(
     un-built :class:`SymbolicFsm` (so several monitors could share one
     machine).  With ``early_fail`` the doomed-region check of
     :mod:`repro.lc.earlyfail` runs every ``early_fail_interval``
-    reachability steps.  ``auto_gc``/``cache_limit`` configure the kernel
-    when a fresh machine is encoded (ignored for a prebuilt ``fsm``).
+    reachability steps.
     """
-    fsm = (
-        system
-        if isinstance(system, SymbolicFsm)
-        else SymbolicFsm(system, auto_gc=auto_gc, cache_limit=cache_limit)
-    )
+    fsm = system if isinstance(system, SymbolicFsm) else SymbolicFsm(system)
     with fsm.stats.phase("lc") as timer:
         result = _check_containment(
             fsm, automaton, system_fairness, quantify_method,

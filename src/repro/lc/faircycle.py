@@ -115,9 +115,6 @@ class FairGraph:
     def prime(self, states: int) -> int:
         return self.bdd.rename(states, self._x_to_y, strict=False)
 
-    def unprime(self, states: int) -> int:
-        return self.bdd.rename(states, self._y_to_x, strict=False)
-
     # -- closures ----------------------------------------------------------
 
     def backward_within(self, region: int, target: int, trans: int) -> int:

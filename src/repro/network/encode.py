@@ -23,6 +23,7 @@ from repro.bdd.mdd import MddManager, MvVar
 from repro.bdd.ordering import affinity_order, validate_permutation
 from repro.blifmv.ast import Any_, BlifMvError, Eq, Model, Table, ValueSet
 from repro.blifmv.hierarchy import Elaboration, InstanceInfo
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.network.quantify import Conjunct, tree_reduce
 
 NEXT_SUFFIX = "#n"
@@ -90,9 +91,7 @@ def variable_order(model: Model) -> List[str]:
 def encode(
     model: Model,
     order_method: str = "affinity",
-    auto_gc: Optional[int] = None,
-    cache_limit: Optional[int] = None,
-    auto_reorder: Optional[int] = None,
+    config: EngineConfig = DEFAULT_CONFIG,
     order: Optional[List[str]] = None,
     elaboration: Optional[Elaboration] = None,
     stats=None,
@@ -104,9 +103,9 @@ def encode(
     ablation).  ``order`` overrides both with an explicit permutation of
     the model's declared variables (the ordering portfolio races such
     candidates; see :mod:`repro.ordering_portfolio`) — latch outputs in
-    the order still get their present/next bits interleaved.  ``auto_gc``,
-    ``cache_limit`` and ``auto_reorder`` configure the kernel's
-    self-management knobs (see :class:`repro.bdd.manager.BDD`).
+    the order still get their present/next bits interleaved.  ``config``
+    configures the kernel's self-management (see
+    :class:`repro.bdd.manager.BDD`).
 
     ``elaboration`` (from :func:`repro.blifmv.elaborate`) switches on
     shared-shape encoding: table conjuncts are built once per distinct
@@ -139,9 +138,7 @@ def encode(
     else:
         raise ValueError(f"unknown order_method {order_method!r}")
 
-    mdd = MddManager(
-        BDD(auto_gc=auto_gc, cache_limit=cache_limit, auto_reorder=auto_reorder)
-    )
+    mdd = MddManager(BDD(config))
     latch_of_output = {l.output: l for l in model.latches}
     variables: Dict[str, MvVar] = {}
     latch_vars: Dict[str, LatchVars] = {}

@@ -27,6 +27,7 @@ from repro.bdd.manager import BDD, BddError
 from repro.bdd.mdd import MddManager, MvVar
 from repro.blifmv.ast import Model
 from repro.blifmv.hierarchy import Elaboration
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.network.encode import NEXT_SUFFIX, EncodedNetwork, LatchVars, encode
 from repro.network.quantify import (
     Conjunct,
@@ -60,9 +61,7 @@ class SymbolicFsm:
         self,
         model: "Model | Elaboration",
         order_method: str = "affinity",
-        auto_gc: Optional[int] = None,
-        cache_limit: Optional[int] = None,
-        auto_reorder: Optional[int] = None,
+        config: EngineConfig = DEFAULT_CONFIG,
         tracer: Optional[Tracer] = None,
         order: Optional[List[str]] = None,
     ):
@@ -79,9 +78,7 @@ class SymbolicFsm:
             self.network: EncodedNetwork = encode(
                 model,
                 order_method=order_method,
-                auto_gc=auto_gc,
-                cache_limit=cache_limit,
-                auto_reorder=auto_reorder,
+                config=config,
                 order=order,
                 elaboration=elaboration,
                 stats=self.stats,

@@ -112,15 +112,6 @@ class ExplicitModelChecker:
             self._cache[formula] = cached
         return cached
 
-    def holds_on(self, initial: Iterable[Node]) -> Callable[[object], bool]:
-        """Verdict function: does a formula hold on every initial node?"""
-        init = set(initial)
-
-        def verdict(formula) -> bool:
-            return init <= self.eval(formula)
-
-        return verdict
-
     def _eval(self, f: Formula) -> Set[Node]:
         if isinstance(f, TrueF):
             return set(self.space)

@@ -26,11 +26,12 @@ import json
 import random
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.bdd.manager import BDD
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.ctl.modelcheck import ModelChecker
 from repro.debug.lcdebug import lc_counterexample
 from repro.lc.containment import check_containment
@@ -125,20 +126,20 @@ class SweepReport:
 def bddops_trial(
     rng: random.Random,
     seed: int,
-    auto_reorder: Optional[int] = None,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> List[Divergence]:
     """Grow a random operation DAG, verifying every node exhaustively.
 
-    With ``auto_reorder`` the kernel's dynamic sifting is armed and a
-    ``maybe_gc`` safe point (with the whole pool as roots) runs after
-    every step, so reordering fires mid-trial and every node is
-    re-verified against its truth table afterwards — proving in-place
-    sifting never changes a function.
+    The manager runs under ``config`` with its ``cache_limit`` drawn
+    from ``rng``.  A ``maybe_gc`` safe point (with the whole pool as
+    roots) runs after every step, so with ``auto_reorder`` or
+    ``auto_gc`` set, sifting and collection fire mid-trial and every
+    node is re-verified against its truth table afterwards — proving
+    they never change a function.
     """
     divergences: List[Divergence] = []
     n = rng.choice([4, 5])
-    bdd = BDD(cache_limit=rng.choice([None, None, 512]),
-              auto_reorder=auto_reorder)
+    bdd = BDD(replace(config, cache_limit=rng.choice([None, None, 512])))
     for j in range(n):
         bdd.add_var(f"v{j}")
     all_vars = list(range(n))
@@ -300,15 +301,14 @@ def run_case(
     case: dict,
     seed: int,
     stats: EngineStats,
-    auto_reorder: Optional[int] = None,
-    portfolio: Optional[int] = None,
-    shared_shapes: bool = False,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> List[Divergence]:
     """Cross-check one generated case end-to-end.  Engine exceptions are
     reported as ``crash`` divergences rather than raised.
 
-    ``auto_reorder`` arms dynamic sifting in every symbolic engine the
-    case spins up; the verdicts must not change.  ``portfolio`` (K)
+    Every symbolic engine the case spins up runs under ``config``; its
+    kernel settings (``auto_gc``, ``cache_limit``, ``auto_reorder``)
+    must not change a verdict.  ``portfolio`` (K)
     installs ordering-portfolio heuristic ``seed % K`` as the explicit
     variable order — deterministic round-robin rather than racing, so
     every candidate order faces the oracle across a sweep while
@@ -322,10 +322,10 @@ def run_case(
     divergences: List[Divergence] = []
     model = case["model"]
     order = None
-    if portfolio:
+    if config.portfolio:
         from repro.ordering_portfolio import portfolio_order_for
 
-        _, order = portfolio_order_for(model, portfolio, seed)
+        _, order = portfolio_order_for(model, config.portfolio, seed)
     with stats.phase("fuzz.oracle"):
         kripke = ExplicitKripke(model)
         ex_reached, ex_rings = kripke.reachable()
@@ -333,7 +333,7 @@ def run_case(
 
     # -- reachability --------------------------------------------------
     with stats.phase("fuzz.reach"):
-        fsm = SymbolicFsm(model, tracer=stats.tracer, auto_reorder=auto_reorder,
+        fsm = SymbolicFsm(model, config=config, tracer=stats.tracer,
                           order=order)
         fsm.build_transition(method=case["build_method"])
         reach = fsm.reachable(partitioned=case["partitioned"])
@@ -413,7 +413,7 @@ def run_case(
     with stats.phase("fuzz.lc"):
         automaton = automaton_from_desc(case["automaton"])
         lc_fsm = SymbolicFsm(
-            model, tracer=stats.tracer, auto_reorder=auto_reorder, order=order,
+            model, config=config, tracer=stats.tracer, order=order,
         )
         lc_spec = fairness_spec_from_descs(lc_fsm, case["fairness"])
         lc = check_containment(
@@ -444,12 +444,10 @@ def run_case(
                 divergences.append(Divergence("trace", seed, problem))
 
     # -- shared-shape replica (optional) -------------------------------
-    if shared_shapes:
+    if config.shared_shapes:
         with stats.phase("fuzz.shapes"):
             divergences.extend(
-                _shared_shape_replica_check(
-                    case, seed, stats, auto_reorder=auto_reorder,
-                )
+                _shared_shape_replica_check(case, seed, stats, config)
             )
 
     # Fold the per-trial engines' own phase timers (encode, build_tr,
@@ -463,7 +461,7 @@ def _shared_shape_replica_check(
     case: dict,
     seed: int,
     stats: EngineStats,
-    auto_reorder: Optional[int] = None,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> List[Divergence]:
     """Verify shared-shape elaboration on a two-instance replica design.
 
@@ -490,14 +488,12 @@ def _shared_shape_replica_check(
     design = Design(models={"replica_top": top, model.name: model},
                     root="replica_top")
     elab = elaborate(design)
-    shared = SymbolicFsm(elab, tracer=stats.tracer, auto_reorder=auto_reorder)
+    shared = SymbolicFsm(elab, config=config, tracer=stats.tracer)
     shared.build_transition(method=case["build_method"])
     shared_reach = shared.reachable(partitioned=case["partitioned"])
     shared_count = shared.count_states(shared_reach.reached)
 
-    plain = SymbolicFsm(
-        flatten(design), tracer=stats.tracer, auto_reorder=auto_reorder,
-    )
+    plain = SymbolicFsm(flatten(design), config=config, tracer=stats.tracer)
     plain.build_transition(method=case["build_method"])
     plain_reach = plain.reachable(partitioned=case["partitioned"])
     plain_count = plain.count_states(plain_reach.reached)
@@ -539,15 +535,10 @@ def _safe_run_case(
     case: dict,
     seed: int,
     stats: EngineStats,
-    auto_reorder: Optional[int] = None,
-    portfolio: Optional[int] = None,
-    shared_shapes: bool = False,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> List[Divergence]:
     try:
-        return run_case(
-            case, seed, stats, auto_reorder=auto_reorder, portfolio=portfolio,
-            shared_shapes=shared_shapes,
-        )
+        return run_case(case, seed, stats, config)
     except Exception:
         tail = traceback.format_exc().strip().splitlines()[-1]
         return [Divergence("crash", seed, tail)]
@@ -571,26 +562,17 @@ def run_trial(
     stats: Optional[EngineStats] = None,
     max_space: int = ORACLE_MAX_SPACE,
     keep_case: bool = False,
-    auto_reorder: Optional[int] = None,
-    portfolio: Optional[int] = None,
-    shared_shapes: bool = False,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> TrialReport:
     """One full differential trial from one seed."""
     stats = stats if stats is not None else EngineStats()
     start = time.perf_counter()
     divergences: List[Divergence] = []
     with stats.phase("fuzz.bddops"):
-        divergences.extend(
-            bddops_trial(_ops_rng(seed), seed, auto_reorder=auto_reorder)
-        )
+        divergences.extend(bddops_trial(_ops_rng(seed), seed, config))
     with stats.phase("fuzz.gen"):
         case = gen_case(_case_rng(seed), max_space=max_space)
-    divergences.extend(
-        _safe_run_case(
-            case, seed, stats, auto_reorder=auto_reorder, portfolio=portfolio,
-            shared_shapes=shared_shapes,
-        )
-    )
+    divergences.extend(_safe_run_case(case, seed, stats, config))
     return TrialReport(
         seed=seed,
         divergences=divergences,
@@ -603,17 +585,12 @@ def _shrink_and_describe(
     case: dict,
     seed: int,
     areas: Set[str],
-    auto_reorder: Optional[int] = None,
-    portfolio: Optional[int] = None,
-    shared_shapes: bool = False,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Minimize a failing case while any of ``areas`` keeps diverging."""
 
     def still_fails(candidate: dict) -> bool:
-        found = _safe_run_case(
-            candidate, seed, EngineStats(), auto_reorder=auto_reorder,
-            portfolio=portfolio, shared_shapes=shared_shapes,
-        )
+        found = _safe_run_case(candidate, seed, EngineStats(), config)
         return any(d.area in areas for d in found)
 
     return shrink_case(case, still_fails)
@@ -625,8 +602,15 @@ def write_corpus_entry(
     areas: Set[str],
     case: Optional[dict],
     note: str,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> str:
-    """Persist one repro; returns the written path."""
+    """Persist one repro; returns the written path.
+
+    The settings of ``config`` that differ from their defaults are
+    recorded under ``"config"`` (the key is absent when all are
+    default), so a divergence that needs, say, ``shared_shapes``
+    replays under it.
+    """
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     kind = "bddops" if areas == {"bddops"} else "case"
@@ -636,6 +620,9 @@ def write_corpus_entry(
         "areas": sorted(areas),
         "note": note,
     }
+    overrides = config.overrides()
+    if overrides:
+        entry["config"] = overrides
     if kind == "case" and case is not None:
         entry["payload"] = case_to_payload(case)
     path = corpus_dir / f"seed{seed:06d}_{'_'.join(sorted(areas))}.json"
@@ -644,13 +631,15 @@ def write_corpus_entry(
 
 
 def replay_corpus_entry(entry: dict) -> List[Divergence]:
-    """Re-run a corpus repro; a healthy tree returns no divergences."""
+    """Re-run a corpus repro under the settings it was found with; a
+    healthy tree returns no divergences."""
     seed = entry["seed"]
+    config = EngineConfig.of(entry.get("config", {}))
     if entry["kind"] == "bddops":
-        return bddops_trial(_ops_rng(seed), seed)
+        return bddops_trial(_ops_rng(seed), seed, config)
     if entry["kind"] == "case":
         case = case_from_payload(entry["payload"])
-        return _safe_run_case(case, seed, EngineStats())
+        return _safe_run_case(case, seed, EngineStats(), config)
     raise ValueError(f"unknown corpus entry kind {entry['kind']!r}")
 
 
@@ -671,11 +660,15 @@ def run_sweep(
     shrink: bool = True,
     max_space: int = ORACLE_MAX_SPACE,
     progress=None,
-    auto_reorder: Optional[int] = None,
-    portfolio: Optional[int] = None,
-    shared_shapes: bool = False,
+    config: EngineConfig = DEFAULT_CONFIG,
+    **settings,
 ) -> SweepReport:
-    """Run ``trials`` seeded trials; shrink and record any divergence."""
+    """Run ``trials`` seeded trials; shrink and record any divergence.
+
+    Every engine runs under ``config``; ``settings`` override single
+    fields of it (``run_sweep(6, portfolio=4)``).
+    """
+    config = replace(config, **settings)
     stats = stats if stats is not None else EngineStats()
     sweep = SweepReport(trials=trials, seed0=seed0)
     start = time.perf_counter()
@@ -684,8 +677,7 @@ def run_sweep(
         with stats.tracer.span("fuzz.trial", cat="fuzz", seed=seed) as span:
             report = run_trial(
                 seed, stats=stats, max_space=max_space, keep_case=True,
-                auto_reorder=auto_reorder, portfolio=portfolio,
-                shared_shapes=shared_shapes,
+                config=config,
             )
             span.add(divergences=len(report.divergences))
         sweep.reports.append(report)
@@ -697,13 +689,11 @@ def run_sweep(
             if shrink and case is not None and areas != {"bddops"}:
                 with stats.phase("fuzz.shrink"):
                     case = _shrink_and_describe(
-                        case, seed, areas - {"bddops"},
-                        auto_reorder=auto_reorder, portfolio=portfolio,
-                        shared_shapes=shared_shapes,
+                        case, seed, areas - {"bddops"}, config,
                     )
             path = write_corpus_entry(
                 corpus_dir, seed, areas, case,
-                note=str(report.divergences[0]),
+                note=str(report.divergences[0]), config=config,
             )
             sweep.corpus_written.append(path)
     sweep.seconds = time.perf_counter() - start

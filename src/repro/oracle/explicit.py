@@ -202,9 +202,6 @@ class ExplicitKripke:
             out &= self.atom_states(var, values)
         return out
 
-    def state_dict(self, state: State) -> Dict[str, str]:
-        return dict(zip(self.latch_names, state))
-
     def state_of(self, valuation: Dict[str, str]) -> Optional[State]:
         """Tuple form of a latch-name valuation (None if any latch missing)."""
         try:

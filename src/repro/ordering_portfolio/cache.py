@@ -1,10 +1,9 @@
 """Persistent winning-order cache (``.hsis-orders/``).
 
-One JSON file per design digest, written atomically
-(:func:`repro.parallel.atomic.atomic_write_json`) and carrying an
-integrity digest over the order payload — the same tamper-heal
-discipline as the serve result cache (:mod:`repro.serve.cache`): a
-truncated, tampered or garbage entry is detected on load, counted as
+One JSON file per design digest in a
+:class:`~repro.parallel.atomic.DigestStore` — the same atomic-write,
+tamper-heal store as the serve result cache (:mod:`repro.serve.cache`):
+a truncated, tampered or garbage entry is detected on load, counted as
 corrupt, treated as a miss, and healed by the atomic rewrite after the
 caller re-races.  A corrupt order cache can therefore never change a
 verdict — at worst it costs one extra race.
@@ -17,42 +16,25 @@ design's declared variables, otherwise it is corrupt by definition
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.bdd.ordering import validate_permutation
-from repro.parallel.atomic import atomic_write_json
+from repro.parallel.atomic import DigestStore, json_digest
 
 ORDERS_VERSION = 1
 
 #: Default order-cache directory, relative to the working directory.
 DEFAULT_ORDERS_DIR = ".hsis-orders"
 
-
-def _canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def order_digest(order: List[str]) -> str:
-    """Integrity digest stored alongside (and checked against) an order."""
-    return hashlib.sha256(_canonical(order).encode("utf-8")).hexdigest()
+#: Integrity digest stored alongside (and checked against) an order.
+order_digest = json_digest
 
 
-class OrderCache:
+class OrderCache(DigestStore):
     """Integrity-checked map from design digest to winning order."""
 
     def __init__(self, root: str = DEFAULT_ORDERS_DIR) -> None:
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.stores = 0
-
-    def path(self, design_sha: str) -> str:
-        return os.path.join(self.root, f"{design_sha}.json")
+        super().__init__(root, ORDERS_VERSION, "design_sha", "order", "order_sha")
 
     def load(
         self, design_sha: str, names: Iterable[str]
@@ -60,37 +42,22 @@ class OrderCache:
         """Return the verified entry for ``design_sha``, or None.
 
         ``names`` are the live model's declared variables; the stored
-        order must be an exact permutation of them.  Any unverifiable
-        entry (unparseable JSON, key/digest mismatch, non-permutation)
-        counts as corrupt *and* as a miss; the caller re-races and
-        overwrites it atomically.
+        order must be an exact permutation of them, made of strings,
+        and won by a named heuristic.  Any unverifiable entry counts as
+        corrupt *and* as a miss; the caller re-races and overwrites it
+        atomically.
         """
-        path = self.path(design_sha)
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-        except OSError:
-            self.misses += 1
-            return None
-        except ValueError:
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        order = entry.get("order") if isinstance(entry, dict) else None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("design_sha") != design_sha
-            or not isinstance(order, list)
-            or not all(isinstance(name, str) for name in order)
-            or entry.get("order_sha") != order_digest(order)
-            or not isinstance(entry.get("heuristic"), str)
-            or validate_permutation(order, names) is not None
-        ):
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
+
+        def valid(entry: Dict[str, Any]) -> bool:
+            order = entry["order"]
+            return (
+                isinstance(order, list)
+                and all(isinstance(name, str) for name in order)
+                and isinstance(entry.get("heuristic"), str)
+                and validate_permutation(order, names) is None
+            )
+
+        return super().load(design_sha, valid)
 
     def store(
         self,
@@ -100,34 +67,12 @@ class OrderCache:
         margin_seconds: float = 0.0,
     ) -> str:
         """Atomically write the winner for ``design_sha``; returns path."""
-        path = self.path(design_sha)
-        atomic_write_json(
-            path,
-            {
-                "version": ORDERS_VERSION,
-                "design_sha": design_sha,
-                "heuristic": heuristic,
-                "order": list(order),
-                "order_sha": order_digest(list(order)),
-                "margin_seconds": margin_seconds,
-            },
+        return super().store(
+            design_sha, list(order),
+            heuristic=heuristic, margin_seconds=margin_seconds,
         )
-        self.stores += 1
-        return path
-
-    def entry_count(self) -> int:
-        try:
-            return sum(
-                1 for name in os.listdir(self.root) if name.endswith(".json")
-            )
-        except OSError:
-            return 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "entries": self.entry_count(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "stores": self.stores,
-        }
+        snap = super().snapshot()
+        del snap["evictions"]  # the order cache is never size-capped
+        return snap

@@ -17,8 +17,10 @@ divergence, so the sweep verdict stays honest.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import List, Optional
 
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.oracle.diff import (
     Divergence,
     ORACLE_MAX_SPACE,
@@ -43,9 +45,7 @@ def _sweep_chunk_worker(
     shrink: bool,
     max_space: int,
     trace: bool = False,
-    auto_reorder: Optional[int] = None,
-    portfolio: Optional[int] = None,
-    shared_shapes: bool = False,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> TaskResult:
     """Worker body: one contiguous sub-sweep, exactly the serial code.
 
@@ -63,9 +63,7 @@ def _sweep_chunk_worker(
         corpus_dir=corpus_dir,
         shrink=shrink,
         max_space=max_space,
-        auto_reorder=auto_reorder,
-        portfolio=portfolio,
-        shared_shapes=shared_shapes,
+        config=config,
     )
     for trial in report.reports:
         trial.case = None  # cases are large and the parent never reads them
@@ -84,17 +82,18 @@ def run_sweep_parallel(
     timeout: Optional[float] = None,
     retries: int = 1,
     pool: Optional[WorkerPool] = None,
-    auto_reorder: Optional[int] = None,
-    portfolio: Optional[int] = None,
-    shared_shapes: bool = False,
+    config: EngineConfig = DEFAULT_CONFIG,
+    **settings,
 ) -> SweepReport:
     """Fan a seeded sweep across ``jobs`` workers; merge in seed order.
 
     Mirrors :func:`repro.oracle.run_sweep`'s signature and report
-    semantics.  ``timeout`` bounds each *chunk* (not each trial);
+    semantics, ``config`` and its per-field ``settings`` overrides
+    included.  ``timeout`` bounds each *chunk* (not each trial);
     ``pool`` may inject a preconfigured :class:`WorkerPool` (tests use
     this to tighten timeouts).
     """
+    config = replace(config, **settings)
     stats = stats if stats is not None else EngineStats()
     trace = stats.tracer.enabled
     sweep = SweepReport(trials=trials, seed0=seed0)
@@ -105,7 +104,7 @@ def run_sweep_parallel(
             task_id=f"fuzz[{chunk_seed0}+{chunk_count}]",
             fn=_sweep_chunk_worker,
             args=(chunk_count, chunk_seed0, corpus_dir, shrink, max_space,
-                  trace, auto_reorder, portfolio, shared_shapes),
+                  trace, config),
             timeout=timeout,
         )
         for chunk_seed0, chunk_count in chunks

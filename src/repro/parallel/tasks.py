@@ -16,7 +16,7 @@ error, timeout, or worker crash — so no failure mode is ever silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.perf import EngineStats
 
@@ -103,12 +103,3 @@ def shard_range(start: int, count: int, shards: int) -> List[Tuple[int, int]]:
         chunks.append((offset, size))
         offset += size
     return chunks
-
-
-def merge_envelope_stats(
-    stats: EngineStats, envelopes: Sequence[ResultEnvelope]
-) -> None:
-    """Fold every envelope's worker stats into ``stats``, in order."""
-    for env in envelopes:
-        if env.stats is not None:
-            stats.merge(env.stats)

@@ -8,38 +8,34 @@ to the design, the properties, or a result-affecting knob forks the
 key, while formatting of the *request* (knob order, defaults spelled
 out or not) does not.
 
-Entries are one JSON file per key, written atomically via
-:func:`repro.parallel.atomic.atomic_write_json` so a crashed server
-can never leave a truncated entry.  Each entry carries an integrity
-digest over its result payload; :meth:`ResultCache.load` re-derives it
-and treats any mismatch (bit rot, manual truncation, a concurrent
-writer from an older version) as a miss — the server recomputes and
-rewrites the entry, again atomically.
+Entries are one JSON file per key in a
+:class:`~repro.parallel.atomic.DigestStore`: written atomically, so a
+crashed server can never leave a truncated entry, and carrying an
+integrity digest over the result payload that :meth:`ResultCache.load`
+re-derives, treating any mismatch (bit rot, manual truncation, a
+concurrent writer from an older version) as a miss — the server
+recomputes and rewrites the entry, again atomically.
 
-With ``max_bytes`` set the cache is size-capped: every store sweeps
-the directory and evicts least-recently-used entries (mtime order — a
-cache hit touches its entry) until the total fits, never evicting the
-entry just written.  Evictions are counted and surfaced in
-:meth:`ResultCache.snapshot` (and thence ``hsis client status``).
+With ``max_bytes`` set the cache is size-capped: every store evicts
+least-recently-used entries (mtime order — a cache hit touches its
+entry) until the total fits, never evicting the entry just written.
+Evictions are counted and surfaced in :meth:`ResultCache.snapshot`
+(and thence ``hsis client status``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from typing import Any, Dict, Optional
 
-from repro.parallel.atomic import atomic_write_json
+from repro.parallel.atomic import DigestStore, json_digest
 
 CACHE_VERSION = 1
 
 #: Default cache directory, relative to the server's working directory.
 DEFAULT_CACHE_DIR = ".hsis-cache"
 
-
-def _canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: Integrity digest stored alongside (and checked against) a result.
+result_digest = json_digest
 
 
 def cache_key(
@@ -49,7 +45,7 @@ def cache_key(
     knobs: Dict[str, Any],
 ) -> str:
     """The canonical content hash of one verification request."""
-    blob = _canonical(
+    return json_digest(
         {
             "v": CACHE_VERSION,
             "kind": kind,
@@ -58,15 +54,9 @@ def cache_key(
             "knobs": knobs,
         }
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def result_digest(result: Any) -> str:
-    """Integrity digest stored alongside (and checked against) a result."""
-    return hashlib.sha256(_canonical(result).encode("utf-8")).hexdigest()
-
-
-class ResultCache:
+class ResultCache(DigestStore):
     """Persistent, integrity-checked map from cache key to job result."""
 
     def __init__(
@@ -74,128 +64,10 @@ class ResultCache:
         root: str = DEFAULT_CACHE_DIR,
         max_bytes: Optional[int] = None,
     ) -> None:
-        self.root = root
-        self.max_bytes = max_bytes
-        os.makedirs(root, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.stores = 0
-        self.evictions = 0
-
-    def path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.json")
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """Return the verified entry for ``key``, or None.
-
-        A present-but-unverifiable entry (unparseable JSON, key
-        mismatch, digest mismatch) counts as corrupt *and* as a miss;
-        the caller recomputes and overwrites it.
-        """
-        path = self.path(key)
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-        except OSError:
-            self.misses += 1
-            return None
-        except ValueError:
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("key") != key
-            or "result" not in entry
-            or entry.get("result_sha") != result_digest(entry["result"])
-        ):
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            os.utime(path)  # refresh recency for LRU eviction
-        except OSError:
-            pass
-        return entry
-
-    def store(
-        self,
-        key: str,
-        kind: str,
-        result: Any,
-        seconds: float,
-    ) -> str:
-        """Atomically write the entry for ``key``; returns its path."""
-        path = self.path(key)
-        atomic_write_json(
-            path,
-            {
-                "version": CACHE_VERSION,
-                "key": key,
-                "kind": kind,
-                "result": result,
-                "result_sha": result_digest(result),
-                "seconds": seconds,
-            },
+        super().__init__(
+            root, CACHE_VERSION, "key", "result", "result_sha", max_bytes
         )
-        self.stores += 1
-        self._evict(keep=path)
-        return path
 
-    def _evict(self, keep: str) -> None:
-        """Drop least-recently-used entries until under ``max_bytes``.
-
-        ``keep`` (the entry just written) is never evicted, so a cap
-        smaller than one entry still leaves the latest result cached.
-        Concurrently removed files are skipped, never fatal.
-        """
-        if self.max_bytes is None:
-            return
-        entries = []
-        total = 0
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                status = os.stat(path)
-            except OSError:
-                continue
-            total += status.st_size
-            entries.append((status.st_mtime, path, status.st_size))
-        entries.sort()
-        for _, path, size in entries:
-            if total <= self.max_bytes:
-                break
-            if os.path.abspath(path) == os.path.abspath(keep):
-                continue
-            try:
-                os.remove(path)
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
-
-    def entry_count(self) -> int:
-        try:
-            return sum(
-                1 for name in os.listdir(self.root) if name.endswith(".json")
-            )
-        except OSError:
-            return 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "entries": self.entry_count(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "stores": self.stores,
-            "evictions": self.evictions,
-        }
+    def store(self, key: str, kind: str, result: Any, seconds: float) -> str:
+        """Atomically write the entry for ``key``; returns its path."""
+        return super().store(key, result, kind=kind, seconds=seconds)

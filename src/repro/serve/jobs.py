@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.config import EngineConfig
 from repro.parallel.tasks import Task, TaskResult
 from repro.perf import EngineStats
 from repro.trace.tracer import Tracer
@@ -64,19 +65,13 @@ def run_check_job(
     from repro.network import SymbolicFsm
     from repro.pif import parse_pif
 
-    flat = _parse_design(
-        design_kind, design_text,
-        shared_shapes=bool(knobs.get("shared_shapes")),
-    )
+    config = EngineConfig.of(knobs)
+    flat = _parse_design(design_kind, design_text, config.shared_shapes)
     pif = parse_pif(pif_text or "", source="<submission>")
     if not pif.ctl_props:
         raise ValueError("no CTL properties in the submitted PIF text")
     fsm = SymbolicFsm(
-        flat,
-        auto_gc=knobs.get("auto_gc"),
-        cache_limit=knobs.get("cache_limit"),
-        auto_reorder=knobs.get("auto_reorder"),
-        tracer=Tracer() if trace else None,
+        flat, config=config, tracer=Tracer() if trace else None,
     )
     checker = ModelChecker(fsm, fairness=pif.bind_fairness(fsm))
     verdicts = []
@@ -135,7 +130,7 @@ def run_portfolio_job(
         flat,
         pif.ctl_props,
         pif.fairness,
-        k=knobs["portfolio"],
+        k=EngineConfig.of(knobs).portfolio,
         orders_dir=orders_dir or DEFAULT_ORDERS_DIR,
         stats=stats,
         timeout=timeout,
@@ -173,8 +168,7 @@ def run_fuzz_job(knobs: Dict[str, Any], trace: bool = False) -> TaskResult:
         knobs["trials"],
         seed0=knobs["seed"],
         stats=stats,
-        auto_reorder=knobs.get("auto_reorder"),
-        shared_shapes=bool(knobs.get("shared_shapes")),
+        config=EngineConfig.of(knobs),
     )
     stats.bump("serve.fuzz_trials", sweep.trials)
     return TaskResult(
@@ -203,14 +197,10 @@ def run_profile_job(
     from repro.network import SymbolicFsm
     from repro.pif import parse_pif
 
-    flat = _parse_design(
-        design_kind, design_text,
-        shared_shapes=bool(knobs.get("shared_shapes")),
-    )
+    config = EngineConfig.of(knobs)
+    flat = _parse_design(design_kind, design_text, config.shared_shapes)
     fsm = SymbolicFsm(
-        flat,
-        auto_reorder=knobs.get("auto_reorder"),
-        tracer=Tracer() if trace else None,
+        flat, config=config, tracer=Tracer() if trace else None,
     )
     if not knobs["partitioned"]:
         fsm.build_transition(method=knobs["method"])

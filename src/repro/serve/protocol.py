@@ -46,6 +46,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.config import EngineConfig
+
 #: Hard cap on one request/response line.  Submissions carry whole
 #: designs inline, so this is generous; anything larger is rejected
 #: and the connection closed (framing can no longer be trusted).
@@ -58,17 +60,26 @@ PROTOCOL_VERSION = 1
 
 KINDS = ("check", "fuzz", "profile")
 
+
+def _settings(*names: str, **overrides: Any) -> Dict[str, Any]:
+    """Defaults of the engine settings ``names`` (see EngineConfig)."""
+    config = EngineConfig(**overrides)
+    return {name: getattr(config, name) for name in names}
+
+
 #: Result-affecting knobs per job kind, with their defaults.  The
 #: canonical knob dict always contains every key, so ``{"trials": 25}``
 #: and ``{"trials": 25, "seed": 0}`` hash to the same cache key, while
-#: any knob that changes the computation changes the key.
+#: any knob that changes the computation changes the key.  The engine
+#: settings among them are :class:`~repro.config.EngineConfig` fields.
 KNOB_DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "check": {"auto_gc": None, "cache_limit": None, "auto_reorder": None,
-              "portfolio": None, "shared_shapes": True},
-    "fuzz": {"trials": 25, "seed": 0, "auto_reorder": None,
-             "shared_shapes": False},
+    "check": _settings("auto_gc", "cache_limit", "auto_reorder", "portfolio",
+                       "shared_shapes", shared_shapes=True),
+    "fuzz": {"trials": 25, "seed": 0,
+             **_settings("auto_reorder", "shared_shapes")},
     "profile": {"method": "greedy", "partitioned": False,
-                "auto_reorder": None, "shared_shapes": True},
+                **_settings("auto_reorder", "shared_shapes",
+                            shared_shapes=True)},
 }
 
 _BOOL_KNOBS = {"partitioned", "shared_shapes"}
@@ -105,7 +116,8 @@ def canonical_knobs(kind: str, knobs: Optional[Dict[str, Any]]) -> Dict[str, Any
 
     Unknown knobs are rejected (a typo must not silently fork the cache
     key); known knobs are type-checked and defaults filled in, so the
-    returned dict is total and deterministic.
+    returned dict is total and deterministic.  The engine settings'
+    legal values are :class:`~repro.config.EngineConfig`'s.
     """
     defaults = KNOB_DEFAULTS[kind]
     knobs = dict(knobs or {})
@@ -128,9 +140,13 @@ def canonical_knobs(kind: str, knobs: Optional[Dict[str, Any]]) -> Dict[str, Any
         else:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ProtocolError(f"knob {name!r} must be an integer")
-            if name != "seed" and value <= 0:
+            if name == "trials" and value <= 0:
                 raise ProtocolError(f"knob {name!r} must be positive")
         out[name] = value
+    try:
+        EngineConfig.of(out)
+    except ValueError as exc:
+        raise ProtocolError(f"bad knob: {exc}")
     return out
 
 

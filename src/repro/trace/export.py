@@ -20,7 +20,7 @@ FILE`` goes through it.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.trace.tracer import Event, Tracer
 
@@ -226,7 +226,3 @@ def safe_write_trace(source, path: str) -> Tuple[Optional[str], Optional[str]]:
         return write_trace(source, path), None
     except OSError as exc:
         return None, f"cannot write trace file {path!r}: {exc}"
-
-
-def _fmt_args(args: Sequence) -> str:  # pragma: no cover - debug helper
-    return " ".join(f"{k}={v}" for k, v in args)

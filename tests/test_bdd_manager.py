@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bdd import BDD, BddError, FALSE, TRUE
+from repro.config import EngineConfig
 
 
 @pytest.fixture
@@ -307,12 +308,6 @@ class TestSizeSemantics:
 
 
 class TestSelfManagement:
-    def test_knob_validation(self):
-        with pytest.raises(BddError):
-            BDD(auto_gc=0)
-        with pytest.raises(BddError):
-            BDD(cache_limit=-1)
-
     def test_gc_skips_cache_clear_when_nothing_freed(self, bdd):
         f = bdd.and_(bdd.var("a"), bdd.var("b"))
         bdd.register_root("f", f)
@@ -326,7 +321,7 @@ class TestSelfManagement:
         assert bdd.cache_size() == cached  # cache survived the no-op sweep
 
     def test_cache_limit_evicts(self):
-        manager = BDD(cache_limit=4)
+        manager = BDD(EngineConfig(cache_limit=4))
         for name in ("a", "b", "c", "d", "e", "f"):
             manager.add_var(name)
         f = manager.true
@@ -338,8 +333,8 @@ class TestSelfManagement:
         assert manager.eval(f, env) is True
 
     def test_cache_limit_preserves_correctness(self):
-        def build(cache_limit):
-            manager = BDD(cache_limit=cache_limit)
+        def build(config):
+            manager = BDD(config)
             vs = [manager.add_var(f"v{i}") for i in range(8)]
             f = manager.false
             for i in range(0, 8, 2):
@@ -348,15 +343,15 @@ class TestSelfManagement:
                 )
             return manager, f
 
-        unlimited_mgr, unlimited = build(None)
-        tiny_mgr, tiny = build(2)
+        unlimited_mgr, unlimited = build(EngineConfig())
+        tiny_mgr, tiny = build(EngineConfig(cache_limit=2))
         assert tiny_mgr.cache_evictions > 0
         care = [f"v{i}" for i in range(8)]
         assert (tiny_mgr.sat_count(tiny, care)
                 == unlimited_mgr.sat_count(unlimited, care))
 
     def test_auto_gc_flags_and_maybe_gc_collects(self):
-        manager = BDD(auto_gc=5)
+        manager = BDD(EngineConfig(auto_gc=5))
         for name in ("a", "b", "c", "d"):
             manager.add_var(name)
         keep = manager.xor(manager.var("a"), manager.var("b"))

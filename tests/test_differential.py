@@ -10,12 +10,18 @@ fuzzing and then fixed.
 import json
 from pathlib import Path
 
+import repro.oracle.diff as diff
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.oracle import run_sweep, run_trial
 from repro.oracle.diff import (
+    Divergence,
     _case_rng,
+    case_from_payload,
     case_to_payload,
     replay_corpus_dir,
+    replay_corpus_entry,
     shrink_case,
+    write_corpus_entry,
 )
 from repro.oracle.fuzz import gen_case
 from repro.perf import EngineStats
@@ -70,6 +76,58 @@ class TestCorpus:
                 payload = entry["payload"]
                 assert payload["model"].startswith(".model")
                 assert "invariant" in payload
+
+
+class TestCorpusConfig:
+    """A corpus entry records the non-default settings it was found
+    under, and replay runs under them."""
+
+    def test_default_entries_carry_no_config(self, tmp_path):
+        # Rewriting a checked-in repro reproduces its bytes exactly.
+        for path in CORPUS.glob("*.json"):
+            entry = json.loads(path.read_text())
+            assert "config" not in entry
+            case = None
+            if entry["kind"] == "case":
+                case = case_from_payload(entry["payload"])
+            again = write_corpus_entry(tmp_path, entry["seed"],
+                                       set(entry["areas"]), case,
+                                       entry["note"])
+            assert Path(again).read_bytes() == path.read_bytes()
+
+    def test_shapes_repro_replays_under_shared_shapes(
+        self, tmp_path, monkeypatch
+    ):
+        def diverge(case, seed, stats, config=DEFAULT_CONFIG):
+            return [Divergence("shapes", seed, "injected for testing")]
+
+        monkeypatch.setattr(diff, "_shared_shape_replica_check", diverge)
+        sweep = run_sweep(1, seed0=3, corpus_dir=str(tmp_path), shrink=False,
+                          config=EngineConfig(shared_shapes=True))
+        [path] = sweep.corpus_written
+        assert Path(path).name == "seed000003_shapes.json"
+        entry = json.loads(Path(path).read_text())
+        assert entry["config"] == {"shared_shapes": True}
+        assert [str(d) for d in replay_corpus_entry(entry)] == [
+            "[shapes] seed=3: injected for testing"
+        ]
+
+    def test_bddops_repro_replays_under_auto_reorder(
+        self, tmp_path, monkeypatch
+    ):
+        def fake_bddops_trial(rng, seed, config=DEFAULT_CONFIG):
+            if config.auto_reorder is None:
+                return []
+            return [Divergence("bddops", seed, "diverges under sifting")]
+
+        monkeypatch.setattr(diff, "bddops_trial", fake_bddops_trial)
+        sweep = run_sweep(1, seed0=0, corpus_dir=str(tmp_path),
+                          config=EngineConfig(auto_reorder=20))
+        [path] = sweep.corpus_written
+        entry = json.loads(Path(path).read_text())
+        assert entry["kind"] == "bddops"
+        assert entry["config"] == {"auto_reorder": 20}
+        assert [d.area for d in replay_corpus_entry(entry)] == ["bddops"]
 
 
 class TestShrinking:

@@ -29,6 +29,7 @@ from repro.automata.fairness import (
     StreettPair,
 )
 from repro.blifmv import flatten, parse
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.lc.faircycle import (
     FairGraph,
     all_fair_states,
@@ -45,7 +46,7 @@ VALUES = [str(i) for i in range(N_STATES)]
 DOMAIN = [str(i) for i in range(8)]
 
 
-def build_machine(edges, auto_gc=None):
+def build_machine(edges, config=DEFAULT_CONFIG):
     """One-latch machine with the given explicit edge list."""
     by_src = {}
     for src, dst in edges:
@@ -65,7 +66,7 @@ def build_machine(edges, auto_gc=None):
 .reset s
 0
 """
-    fsm = SymbolicFsm(flatten(parse(text)), auto_gc=auto_gc)
+    fsm = SymbolicFsm(flatten(parse(text)), config=config)
     fsm.build_transition()
     return fsm
 
@@ -221,13 +222,13 @@ def test_enumerator_yields_each_nontrivial_scc_once(edges):
         for comp in sccs(DOMAIN, lambda n: succ[n])
         if len(comp) > 1 or any(n in succ[n] for n in comp)
     }
-    for auto_gc in (None, 1):
-        fsm = build_machine(edges, auto_gc)
+    for config in (DEFAULT_CONFIG, EngineConfig(auto_gc=1)):
+        fsm = build_machine(edges, config)
         graph = FairGraph(fsm)
         found = [decode(fsm, scc)
                  for scc in nontrivial_sccs(graph, graph.space, graph.trans)]
         assert len(found) == len(set(found)), f"edges={edges}: repeated SCC"
-        assert set(found) == expected, f"edges={edges} auto_gc={auto_gc}"
+        assert set(found) == expected, f"edges={edges} {config}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,8 +246,8 @@ def test_all_fair_states_streett_matches_oracle(edges, buchi_sets, streett):
                  for e, f in streett],
     )
     expected = fair_path_states(set(DOMAIN), set(edges), fairness)
-    for auto_gc in (None, 1):
-        fsm = build_machine(edges, auto_gc)
+    for config in (DEFAULT_CONFIG, EngineConfig(auto_gc=1)):
+        fsm = build_machine(edges, config)
         graph = FairGraph(fsm)
         var = fsm.var("s")
 
@@ -259,6 +260,5 @@ def test_all_fair_states_streett_matches_oracle(edges, buchi_sets, streett):
         ).normalize(fsm.bdd, fsm.bdd.true)
         fair = all_fair_states(graph, spec, graph.space)
         assert decode(fsm, fair) == expected, (
-            f"edges={edges} buchi={buchi_sets} streett={streett} "
-            f"auto_gc={auto_gc}"
+            f"edges={edges} buchi={buchi_sets} streett={streett} {config}"
         )

@@ -15,6 +15,7 @@ from repro.automata.fairness import FairnessSpec, StreettPair
 from repro.bdd import BDD
 from repro.bdd.mdd import MddManager
 from repro.blifmv import flatten, parse
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.ctl import ModelChecker
 from repro.lc import check_containment
 from repro.lc.faircycle import FairGraph, all_fair_states, nontrivial_sccs
@@ -56,8 +57,8 @@ def search_gc_runs(monkeypatch):
     return runs
 
 
-def _ctl_results(spec, auto_gc):
-    fsm = SymbolicFsm(spec.flat(), auto_gc=auto_gc)
+def _ctl_results(spec, config):
+    fsm = SymbolicFsm(spec.flat(), config=config)
     fsm.build_transition()
     reached = fsm.reachable().reached
     checker = ModelChecker(fsm, fairness=spec.pif.bind_fairness(fsm),
@@ -72,10 +73,10 @@ def _ctl_results(spec, auto_gc):
     return out
 
 
-def _lc_results(spec, auto_gc):
+def _lc_results(spec, config):
     out = []
     for automaton in spec.pif.automata:
-        fsm = SymbolicFsm(spec.flat(), auto_gc=auto_gc)
+        fsm = SymbolicFsm(spec.flat(), config=config)
         result = check_containment(
             fsm, automaton, system_fairness=spec.pif.bind_fairness(fsm))
         out.append((automaton.name, result.holds))
@@ -85,8 +86,9 @@ def _lc_results(spec, auto_gc):
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_gallery_verdicts_survive_forced_gc(name, search_gc_runs):
     spec = GALLERY[name]()
-    assert _ctl_results(spec, auto_gc=1) == _ctl_results(spec, auto_gc=None)
-    assert _lc_results(spec, auto_gc=1) == _lc_results(spec, auto_gc=None)
+    forced = EngineConfig(auto_gc=1)
+    assert _ctl_results(spec, forced) == _ctl_results(spec, DEFAULT_CONFIG)
+    assert _lc_results(spec, forced) == _lc_results(spec, DEFAULT_CONFIG)
     assert search_gc_runs["find_fair_scc"] > 0
     if spec.pif.fairness:
         assert search_gc_runs["all_fair_states"] > 0
@@ -94,7 +96,7 @@ def test_gallery_verdicts_survive_forced_gc(name, search_gc_runs):
 
 def test_au_rewrite_keeps_its_until_part():
     spec = GALLERY["traffic"]()
-    forced = SymbolicFsm(spec.flat(), auto_gc=1)
+    forced = SymbolicFsm(spec.flat(), config=EngineConfig(auto_gc=1))
     forced.build_transition()
     plain = SymbolicFsm(spec.flat())
     plain.build_transition()
@@ -127,7 +129,9 @@ CHAIN = """
 
 @pytest.mark.parametrize("auto_gc", [None, 1])
 def test_scc_chain_under_forced_gc(auto_gc):
-    fsm = SymbolicFsm(flatten(parse(CHAIN)), auto_gc=auto_gc)
+    fsm = SymbolicFsm(
+        flatten(parse(CHAIN)), config=EngineConfig(auto_gc=auto_gc)
+    )
     fsm.build_transition()
     graph = FairGraph(fsm)
 

@@ -17,6 +17,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD
+from repro.config import EngineConfig
 from repro.oracle.truthtable import TruthTable
 
 from tests.test_bdd_properties import (
@@ -160,7 +161,7 @@ def test_auto_reorder_kicks_in_and_keeps_answers():
     """An end-to-end smoke: arm auto_reorder low, run a workload with
     maybe_gc safe points, and check the reorder actually fired without
     changing any registered root's brute-force semantics."""
-    bdd = BDD(auto_reorder=16)
+    bdd = BDD(EngineConfig(auto_reorder=16))
     for name in NAMES:
         bdd.add_var(name)
     a, b, c, d, e = (bdd.var(n) for n in NAMES)

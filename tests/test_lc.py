@@ -219,3 +219,43 @@ class TestResultShape:
         assert result.reach.iterations >= 0
         assert result.seconds >= 0
         assert result.monitor.automaton.name == "never1"
+
+
+def test_engine_counters_independent_of_hash_seed():
+    """Monitor edge sets and guard domains are built in sorted order, so
+    an LC run's and a fuzz case's kernel counters are the same under any
+    ``PYTHONHASHSEED``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import json\n"
+        "from repro.lc import check_containment\n"
+        "from repro.models import get_spec\n"
+        "from repro.network import SymbolicFsm\n"
+        "from repro.oracle.diff import _case_rng, run_case\n"
+        "from repro.oracle.fuzz import gen_case\n"
+        "from repro.perf import EngineStats\n"
+        "class Keep(EngineStats):\n"
+        "    managers = []\n"
+        "    def merge(self, other):\n"
+        "        super().merge(other)\n"
+        "        self.managers.append(other.bdd)\n"
+        "spec = get_spec('ping pong')\n"
+        "fsm = SymbolicFsm(spec.flat())\n"
+        "check_containment(fsm, spec.pif.automaton('lc_alternation'),\n"
+        "                  system_fairness=spec.pif.bind_fairness(fsm))\n"
+        "Keep.managers.append(fsm.bdd)\n"
+        "for seed in (2, 5, 6):\n"
+        "    run_case(gen_case(_case_rng(seed)), seed, Keep())\n"
+        "print(json.dumps([[b.stats(), b.cache_stats()]\n"
+        "                  for b in Keep.managers], sort_keys=True))\n"
+    )
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1

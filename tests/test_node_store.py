@@ -29,6 +29,7 @@ import pytest
 
 from repro.bdd import BDD
 from repro.bdd.manager import BddError
+from repro.config import EngineConfig
 from repro.oracle.truthtable import TruthTable
 
 DEEP = 2000
@@ -226,7 +227,7 @@ def test_one_slot_cache_thrash_stays_correct():
     result is checked against the exhaustive oracle."""
     n = 6
     rng = random.Random(0xBDD)
-    bdd = BDD(cache_limit=1)
+    bdd = BDD(EngineConfig(cache_limit=1))
     names = [f"v{i}" for i in range(n)]
     for nm in names:
         bdd.add_var(nm)

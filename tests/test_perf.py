@@ -15,6 +15,7 @@ import pytest
 
 from repro.bdd import BDD
 from repro.blifmv import flatten, parse
+from repro.config import EngineConfig
 from repro.ctl import check_ctl
 from repro.network import SymbolicFsm
 from repro.perf import EngineStats
@@ -156,7 +157,7 @@ class TestAutoGc:
     def test_auto_gc_fires_during_reachability(self):
         baseline = build(COUNTER)
         base_reach = baseline.reachable()
-        managed = build(COUNTER, auto_gc=50)
+        managed = build(COUNTER, config=EngineConfig(auto_gc=50))
         reach = managed.reachable()
         assert managed.bdd.gc_count > 0
         # Registered roots survived: the fixpoint matches the baseline.
@@ -165,7 +166,7 @@ class TestAutoGc:
         assert reach.converged
 
     def test_auto_gc_preserves_trans_and_init(self):
-        fsm = build(COUNTER, auto_gc=25)
+        fsm = build(COUNTER, config=EngineConfig(auto_gc=25))
         fsm.reachable()
         # Usable after collections: another full fixpoint from scratch.
         again = fsm.reachable()
@@ -173,7 +174,7 @@ class TestAutoGc:
 
     def test_ctl_with_auto_gc_matches_default(self):
         plain = build(COUNTER)
-        managed = build(COUNTER, auto_gc=40)
+        managed = build(COUNTER, config=EngineConfig(auto_gc=40))
         for formula in ("EF s=5", "AG EX TRUE", "AF s=0"):
             assert (check_ctl(managed, formula).holds
                     == check_ctl(plain, formula).holds)
@@ -183,7 +184,7 @@ class TestAutoGc:
 class TestCacheLimit:
     def test_fixpoint_matches_with_tiny_cache(self):
         unlimited = build(COUNTER)
-        tiny = build(COUNTER, cache_limit=32)
+        tiny = build(COUNTER, config=EngineConfig(cache_limit=32))
         r_unlimited = unlimited.reachable()
         r_tiny = tiny.reachable()
         assert tiny.bdd.cache_evictions > 0

@@ -17,87 +17,52 @@ Quickstart::
     assert result.holds
 """
 
-from repro.bdd import BDD, MddManager, MvVar
-from repro.blifmv import Design, Model, flatten, parse, parse_file, write
-from repro.verilog import compile_verilog, parse_verilog
-from repro.network import SymbolicFsm, compose, multiply_and_quantify
-from repro.automata import (
-    Automaton,
-    BuchiEdge,
-    BuchiState,
-    FairnessSpec,
-    NegativeStateSet,
-    RabinPair,
-    StreettPair,
-    atom as guard_atom,
-    attach,
-)
-from repro.ctl import ModelChecker, check_ctl, parse_ctl
-from repro.lc import check_containment, language_empty
-from repro.debug import CtlDebugger, format_lc_report, lc_counterexample
-from repro.sim import Simulator
-from repro.minimize import bisimulation_partition, minimize_with_reached
-from repro.pif import parse_pif, parse_pif_file
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BDD",
-    "MddManager",
-    "MvVar",
-    "Design",
-    "Model",
-    "flatten",
-    "parse",
-    "parse_file",
-    "write",
-    "compile_verilog",
-    "parse_verilog",
-    "SymbolicFsm",
-    "compose",
-    "multiply_and_quantify",
-    "Automaton",
-    "BuchiEdge",
-    "BuchiState",
-    "FairnessSpec",
-    "NegativeStateSet",
-    "RabinPair",
-    "StreettPair",
-    "guard_atom",
-    "attach",
-    "ModelChecker",
-    "check_ctl",
-    "parse_ctl",
-    "check_containment",
-    "language_empty",
-    "CtlDebugger",
-    "format_lc_report",
-    "lc_counterexample",
-    "Simulator",
-    "bisimulation_partition",
-    "minimize_with_reached",
-    "parse_pif",
-    "parse_pif_file",
-    "__version__",
-]
+# Public names by defining module (``public=attribute`` renames one).
+# They resolve on first access (PEP 562), so importing one submodule --
+# the stdlib-only ``repro.parallel.atomic``, say -- loads nothing else.
+_SOURCES = {
+    "repro.bdd": "BDD MddManager MvVar",
+    "repro.blifmv": "Design Model flatten parse parse_file write",
+    "repro.verilog": "compile_verilog parse_verilog",
+    "repro.network": (
+        "SymbolicFsm compose multiply_and_quantify DelayBound "
+        "bounded_response_automaton cone_of_influence elaborate_delays "
+        "freeing_abstraction"
+    ),
+    "repro.automata": (
+        "Automaton BuchiEdge BuchiState FairnessSpec NegativeStateSet "
+        "RabinPair StreettPair guard_atom=atom attach"
+    ),
+    "repro.ctl": "ModelChecker check_ctl parse_ctl",
+    "repro.lc": "check_containment language_empty",
+    "repro.debug": "CtlDebugger format_lc_report lc_counterexample",
+    "repro.sim": "Simulator",
+    "repro.minimize": "bisimulation_partition minimize_with_reached",
+    "repro.pif": "parse_pif parse_pif_file property_template=instantiate",
+    "repro.refine": "RefinementResult check_refinement",
+}
+_EXPORTS = {
+    public: (module, attribute or public)
+    for module, names in _SOURCES.items()
+    for public, _, attribute in (name.partition("=") for name in names.split())
+}
 
-from repro.network import (
-    DelayBound,
-    bounded_response_automaton,
-    cone_of_influence,
-    elaborate_delays,
-    freeing_abstraction,
-)
-from repro.refine import RefinementResult, check_refinement
-from repro.pif import instantiate as property_template
+__all__ = [*_EXPORTS, "__version__"]
 
-__all__ += [
-    "DelayBound",
-    "bounded_response_automaton",
-    "cone_of_influence",
-    "elaborate_delays",
-    "freeing_abstraction",
-    "RefinementResult",
-    "check_refinement",
-    "property_template",
-]
+
+def __getattr__(name: str):
+    try:
+        module, attribute = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), attribute)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

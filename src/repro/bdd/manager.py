@@ -621,6 +621,22 @@ class BDD:
             self._reorder_pending = True
         return (node << 1) | neg
 
+    def mk(self, var: int, lo: int, hi: int) -> int:
+        """Handle of ``var ? hi : lo`` for builders outside the kernel.
+
+        When ``var`` sits above the tops of both children this is
+        :meth:`_mk`: one unique-table probe, no operator call and no
+        intermediate node.  Otherwise (a sifted order, or interleaved
+        bits) the triple is not a legal node, and the result is computed
+        as ``ite(var, hi, lo)`` instead.
+        """
+        if lo == hi:
+            return lo
+        level = self._level_of_var[var]
+        if level < self._node_level(lo) and level < self._node_level(hi):
+            return self._mk(var, lo, hi)
+        return self.ite(self._mk(var, FALSE, TRUE), hi, lo)
+
     def var(self, name_or_index) -> int:
         """Return the function of a single positive literal."""
         var = name_or_index if isinstance(name_or_index, int) else self.var_index(name_or_index)

@@ -11,7 +11,11 @@ boolean variables.  This module provides:
   manager with the set of declared multi-valued variables, including
   interleaved declaration of present/next-state pairs (the ordering that
   the HSIS variable-ordering paper [Aziz-Tasiran-Brayton, DAC94]
-  prescribes for FSM traversal).
+  prescribes for FSM traversal),
+* :func:`relation` — the direct builder that turns a list of rows, one
+  code mask per column, into the relation's BDD node by node, with no
+  apply operation under the declared order (every BLIF-MV table,
+  value-set literal and domain constraint is made by it).
 
 Domains whose size is not a power of two leave unused binary codes; every
 :class:`MvVar` carries a ``domain_constraint`` BDD excluding them, and the
@@ -20,9 +24,9 @@ manager can provide the conjunction over any variable set.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.bdd.manager import BDD, BddError
+from repro.bdd.manager import BDD, FALSE, TRUE, BddError
 
 Value = Union[str, int]
 
@@ -51,6 +55,8 @@ class MvVar:
         if len(self.bits) != bits_for(len(self.values)):
             raise BddError(f"wrong bit count for {name!r}")
         self._code: Dict[Value, int] = {v: i for i, v in enumerate(self.values)}
+        # Code mask of the whole domain: bit c set for every valid code c.
+        self.all_codes = (1 << len(self.values)) - 1
         # literal() memo: value or frozenset of values -> BDD.  The
         # handles are not GC roots, so the memo is dropped whenever a
         # collection, compaction or reorder may have freed or moved them.
@@ -77,6 +83,13 @@ class MvVar:
             raise BddError(f"code {code} outside domain of {self.name!r}")
         return self.values[code]
 
+    def mask(self, values: Iterable[Value]) -> int:
+        """Code mask of a value set: bit ``code_of(v)`` set for each value."""
+        m = 0
+        for value in values:
+            m |= 1 << self.code_of(value)
+        return m
+
     def _cube_for_code(self, code: int) -> int:
         return self.bdd.literal_cube(
             (bit, (code >> i) & 1) for i, bit in enumerate(self.bits)
@@ -87,11 +100,9 @@ class MvVar:
         return (bdd.gc_count, bdd.compact_count, bdd.reorder_count)
 
     def _compute_domain_constraint(self) -> int:
-        bdd = self.bdd
-        full = 1 << len(self.bits)
-        if self.nvalues == full:
-            return bdd.true
-        return bdd.disj(self._cube_for_code(c) for c in range(self.nvalues))
+        if self.nvalues == 1 << len(self.bits):
+            return TRUE
+        return relation(self.bdd, [self], [(self.all_codes,)])
 
     def literal(self, values: Union[Value, Iterable[Value]]) -> int:
         """BDD of ``self in values`` (a single value or an iterable)."""
@@ -106,8 +117,7 @@ class MvVar:
             if single:
                 f = self._cube_for_code(self.code_of(values))
             else:
-                codes = sorted(self.code_of(v) for v in key)
-                f = self.bdd.disj(self._cube_for_code(c) for c in codes)
+                f = relation(self.bdd, [self], [(self.mask(key),)])
             self._literals[key] = f
         return f
 
@@ -218,6 +228,12 @@ class MddManager:
                 mapping[ba] = bb
         return mapping
 
+    def relation(
+        self, columns: Sequence[MvVar], rows: Iterable[Sequence[int]]
+    ) -> int:
+        """The relation of ``rows`` over ``columns``; see :func:`relation`."""
+        return relation(self.bdd, columns, rows)
+
     def domain_constraint(self, mv_vars: Iterable[MvVar]) -> int:
         """Conjunction of domain constraints of ``mv_vars``."""
         return self.bdd.conj(v.domain_constraint for v in mv_vars)
@@ -232,3 +248,125 @@ class MddManager:
     def decode(self, assignment: Dict[int, bool], names: Iterable[str]) -> Dict[str, Value]:
         """Decode a boolean assignment into mv values for ``names``."""
         return {n: self[n].decode(assignment) for n in names}
+
+
+def relation(
+    bdd: BDD, columns: Sequence[MvVar], rows: Iterable[Sequence[int]]
+) -> int:
+    """Characteristic function of a union of rows over multi-valued columns.
+
+    Each row gives one code mask per column (bit ``c`` set admits code
+    ``c``; :meth:`MvVar.mask`, ``MvVar.all_codes`` for any value), and
+    the result is the disjunction over the rows of the conjunction of
+    their column memberships.  Only valid codes are ever admitted, so the
+    result implies the domain constraint of every column.  A variable
+    listed in two columns gets the intersection of its two masks.
+
+    The rows are partitioned column by column in level order, top-down
+    and without recursion: the residual row set reached below each
+    prefix of codes is a node of the multi-valued diagram, memoized as
+    the sorted tuple of its rows' *suffix classes* (rows that agree on
+    every remaining column are one class).  The diagram is then built
+    bottom-up, each column's bits from its per-code children through
+    :meth:`BDD.mk`, so under the declared order no apply operation runs
+    and every node allocated is a node of the result (a sifted order
+    costs ``ite`` calls).  Memo keys are int tuples and every dict is
+    read in insertion order, so the node numbering does not depend on
+    ``PYTHONHASHSEED``.
+    """
+    # One column per distinct variable, ordered by the level of its top bit.
+    distinct: Dict[str, MvVar] = {}
+    for var in columns:
+        distinct.setdefault(var.name, var)
+    cols = sorted(distinct.values(), key=lambda v: min(bdd.level(b) for b in v.bits))
+    where = {var.name: j for j, var in enumerate(cols)}
+    slots = [where[var.name] for var in columns]
+    full = [var.all_codes for var in cols]
+    boxes: List[List[int]] = []
+    for row in rows:
+        box = full[:]
+        for slot, mask in zip(slots, row):
+            box[slot] &= mask
+        if all(box):
+            boxes.append(box)
+    if not boxes:
+        return FALSE
+    if len(cols) == 1:
+        # A literal or a domain constraint: the union of the rows' codes.
+        codes = 0
+        for (mask,) in boxes:
+            codes |= mask
+        leaves = [TRUE if codes >> c & 1 else FALSE for c in range(codes.bit_length())]
+        return _fan_in(bdd, cols[0].bits, leaves)
+    # Suffix classes, last column first: at column j a class is one
+    # (mask at j, class at j + 1) pair, kept as (codes, next class).
+    klass = [0] * len(boxes)
+    classes: List[List[Tuple[List[int], int]]] = [[] for _ in cols]
+    for j in reversed(range(len(cols))):
+        ids: Dict[Tuple[int, int], int] = {}
+        for r, box in enumerate(boxes):
+            klass[r] = ids.setdefault((box[j], klass[r]), len(ids))
+        classes[j] = [(_codes(mask), nxt) for mask, nxt in ids]
+    # Top-down partition: kids[j][s][c] is the id of the residual set
+    # that code c of set s at column j leads to (-1: no row admits c).
+    frontier: Dict[Tuple[int, ...], int] = {tuple(sorted(set(klass))): 0}
+    kids: List[List[List[int]]] = []
+    for j, var in enumerate(cols):
+        column = classes[j]
+        below: Dict[Tuple[int, ...], int] = {}
+        table = []
+        for residual in frontier:
+            buckets: Dict[int, Set[int]] = {}
+            for k in residual:
+                codes, nxt = column[k]
+                for c in codes:
+                    bucket = buckets.get(c)
+                    if bucket is None:
+                        buckets[c] = {nxt}
+                    else:
+                        bucket.add(nxt)
+            kid = [-1] * var.nvalues
+            for c, bucket in buckets.items():
+                kid[c] = below.setdefault(tuple(sorted(bucket)), len(below))
+            table.append(kid)
+        kids.append(table)
+        frontier = below
+    # Bottom-up build: every residual set below the last column is TRUE.
+    nodes = [TRUE] * len(frontier)
+    for j in reversed(range(len(cols))):
+        bits = cols[j].bits
+        nodes = [
+            _fan_in(bdd, bits, [FALSE if k < 0 else nodes[k] for k in kid])
+            for kid in kids[j]
+        ]
+    return nodes[0]
+
+
+def _codes(mask: int) -> List[int]:
+    """The codes set in ``mask``, lowest first."""
+    codes = []
+    while mask:
+        low = mask & -mask
+        codes.append(low.bit_length() - 1)
+        mask ^= low
+    return codes
+
+
+def _fan_in(bdd: BDD, bits: Sequence[int], leaves: Sequence[int]) -> int:
+    """The node testing ``bits`` (bit 0 = code LSB) that leads code c to
+    ``leaves[c]``; codes past the leaves lead to ``FALSE``.
+
+    Built from the last bit up: codes that differ only in the bit being
+    added pair up, and each pair with different children costs one
+    :meth:`BDD.mk`.
+    """
+    mk = bdd.mk
+    nodes = list(leaves) + [FALSE] * ((1 << len(bits)) - len(leaves))
+    for i in reversed(range(len(bits))):
+        half = 1 << i
+        bit = bits[i]
+        nodes = [
+            lo if lo == hi else mk(bit, lo, hi)
+            for lo, hi in zip(nodes[:half], nodes[half:])
+        ]
+    return nodes[0]

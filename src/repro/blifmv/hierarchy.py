@@ -22,8 +22,6 @@ by variable substitution.  See docs/hierarchy.md.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -39,6 +37,7 @@ from repro.blifmv.ast import (
     Table,
     ValueSet,
 )
+from repro.parallel.atomic import json_digest
 
 
 @dataclass
@@ -348,9 +347,7 @@ def _signature(
         "synchrony": _sync_key(model.synchrony, pos),
         "subckts": subckts,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    cache[name] = (digest, canon)
+    cache[name] = (json_digest(payload), canon)
     return cache[name]
 
 

@@ -568,7 +568,7 @@ def _fuzz_main(argv: List[str]) -> int:
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="shard the seed range across N worker processes (default 1)",
     )
-    add_flags(parser, ("auto_reorder", "portfolio", "shared_shapes"))
+    add_flags(parser, ("auto_gc", "auto_reorder", "portfolio", "shared_shapes"))
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help=(

@@ -1,11 +1,13 @@
 """Encoding of flat BLIF-MV models into BDD relation conjuncts.
 
 Every BLIF-MV relation (table) becomes a characteristic-function BDD over
-the log-encoded multi-valued variables it mentions; every latch becomes
-an equality conjunct tying the latch's next-state variable to its input
-wire.  The conjunct list — *not* the monolithic product — is the output:
-building the product transition relation with a good quantification
-schedule is the job of :mod:`repro.network.quantify`.
+the log-encoded multi-valued variables it mentions, built straight from
+its rows by the direct builder :func:`repro.bdd.mdd.relation` (no
+per-row conjunction, no pairwise disjunction of rows); every latch
+becomes an equality conjunct tying the latch's next-state variable to
+its input wire.  The conjunct list — *not* the monolithic product — is
+the output: building the product transition relation with a good
+quantification schedule is the job of :mod:`repro.network.quantify`.
 
 Variable order is chosen up front with the interacting-FSM affinity
 heuristic (:func:`repro.bdd.ordering.affinity_order`): variables that
@@ -15,16 +17,25 @@ present/next bits are interleaved.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.manager import BDD
 from repro.bdd.mdd import MddManager, MvVar
 from repro.bdd.ordering import affinity_order, validate_permutation
-from repro.blifmv.ast import Any_, BlifMvError, Eq, Model, Table, ValueSet
+from repro.blifmv.ast import (
+    ANY,
+    Any_,
+    BlifMvError,
+    Model,
+    PatternEntry,
+    Table,
+    ValueSet,
+)
 from repro.blifmv.hierarchy import Elaboration, InstanceInfo
 from repro.config import DEFAULT_CONFIG, EngineConfig
-from repro.network.quantify import Conjunct, tree_reduce
+from repro.network.quantify import Conjunct
 
 NEXT_SUFFIX = "#n"
 
@@ -444,50 +455,67 @@ def encode_table(
 ) -> int:
     """Characteristic function of one (possibly non-deterministic) table.
 
-    Each row's input literals and output literals conjoin as balanced
-    trees (see :func:`repro.network.quantify.tree_reduce`) and the two
-    halves of every row conjoin into the row relation.  The row
-    relations OR together the same way, and so do the rows' input
-    halves into the input cover that the default row complements.
+    Every row becomes one code mask per column (``-`` admits every valid
+    code, a value set its codes) and the rows go to the direct builder
+    :meth:`MddManager.relation`, which allocates only nodes of the final
+    relation.  An ``=x`` output expands into one row per value ``v`` of
+    ``x`` with ``x = v`` and the output ``= v``.  A ``.default`` row
+    adds ``default & ~cover``, where ``cover`` is the relation of the
+    rows' input parts and ``default`` the default outputs under any
+    input, both made by the same builder.  Masks admit valid codes only,
+    so the result needs no domain-constraint conjuncts.
     """
+    columns = [variables[name] for name in table.variables]
+    boxes: List[Tuple[int, ...]] = []
+    for row in table.rows:
+        boxes.extend(_row_boxes(columns, row.inputs + row.outputs, table))
+    rows = mdd.relation(columns, boxes)
+    if table.default is None:
+        return rows
+    width = len(table.inputs)
+    cover = mdd.relation(
+        columns[:width],
+        [box for row in table.rows for box in _row_boxes(columns, row.inputs, table)],
+    )
+    default = mdd.relation(
+        columns, _row_boxes(columns, (ANY,) * width + tuple(table.default), table)
+    )
     bdd = mdd.bdd
-    in_lists = [
-        [_entry_bdd(variables, name, entry, table)
-         for entry, name in zip(row.inputs, table.inputs)]
-        for row in table.rows
-    ]
-    out_lists = [
-        [_entry_bdd(variables, name, entry, table)
-         for entry, name in zip(row.outputs, table.outputs)]
-        for row in table.rows
-    ]
-    in_parts = [tree_reduce(bdd.and_, lits, bdd.true) for lits in in_lists]
-    out_parts = [tree_reduce(bdd.and_, lits, bdd.true) for lits in out_lists]
-    row_nodes = [bdd.and_(i, o) for i, o in zip(in_parts, out_parts)]
-    rows = tree_reduce(bdd.or_, row_nodes, bdd.false)
-    input_cover = tree_reduce(bdd.or_, in_parts, bdd.false)
-    if table.default is not None:
-        default_part = bdd.true
-        for entry, name in zip(table.default, table.outputs):
-            default_part = bdd.and_(default_part, _entry_bdd(variables, name, entry, table))
-        rows = bdd.or_(rows, bdd.and_(bdd.not_(input_cover), default_part))
-    # Valid encodings only, on every column.
-    for name in table.variables:
-        rows = bdd.and_(rows, variables[name].domain_constraint)
-    return rows
+    return bdd.or_(rows, bdd.diff(default, cover))
 
 
-def _entry_bdd(
-    variables: Dict[str, MvVar], name: str, entry, table: Table
-) -> int:
-    var = variables[name]
-    if isinstance(entry, Any_):
-        return var.bdd.true
-    if isinstance(entry, Eq):
-        return var.eq_var(variables[entry.name])
-    if isinstance(entry, ValueSet):
-        return var.literal(entry.values)
-    return var.literal(entry)
+def _row_boxes(
+    columns: List[MvVar], entries: Sequence[PatternEntry], table: Table
+) -> List[Tuple[int, ...]]:
+    """One code mask per column for a row's leading ``entries``; a row
+    with ``=x`` outputs becomes one such row per value of each ``x``."""
+    masks: List[int] = []
+    links: List[Tuple[int, int]] = []  # (output column, input column)
+    for index, (var, entry) in enumerate(zip(columns, entries)):
+        if isinstance(entry, str):
+            masks.append(1 << var.code_of(entry))
+        elif isinstance(entry, Any_):
+            masks.append(var.all_codes)
+        elif isinstance(entry, ValueSet):
+            masks.append(var.mask(entry.values))
+        else:  # Eq
+            masks.append(var.all_codes)
+            links.append((index, table.inputs.index(entry.name)))
+    if not links:
+        return [tuple(masks)]
+    sources = list(dict.fromkeys(source for _, source in links))
+    boxes = []
+    for codes in itertools.product(
+        *([c for c in range(columns[s].nvalues) if masks[s] >> c & 1] for s in sources)
+    ):
+        box = list(masks)
+        code_of = dict(zip(sources, codes))
+        for source, code in code_of.items():
+            box[source] = 1 << code
+        for output, source in links:
+            box[output] = 1 << code_of[source]
+        boxes.append(tuple(box))
+    return boxes
 
 
 def is_deterministic_table(

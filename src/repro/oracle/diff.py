@@ -451,9 +451,11 @@ def run_case(
             )
 
     # Fold the per-trial engines' own phase timers (encode, build_tr,
-    # reach, mc, lc) into the sweep-level collector.
-    stats.merge(fsm.stats)
-    stats.merge(lc_fsm.stats)
+    # reach, mc, lc) and their managers' collections into the
+    # sweep-level collector.
+    for engine in (fsm, lc_fsm):
+        stats.merge(engine.stats)
+        stats.bump("gc_runs", engine.bdd.gc_count)
     return divergences
 
 

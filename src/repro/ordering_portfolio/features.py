@@ -15,11 +15,10 @@ its source file happened to be formatted.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List, Set, Tuple
 
 from repro.blifmv.ast import Model
+from repro.parallel.atomic import json_digest
 
 
 def design_digest(model: Model) -> str:
@@ -62,8 +61,7 @@ def design_digest(model: Model) -> str:
         ],
         "synchrony": repr(model.synchrony),
     }
-    blob = json.dumps(dump, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return json_digest(dump)
 
 
 def fanin_map(model: Model) -> Dict[str, Set[str]]:

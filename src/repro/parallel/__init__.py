@@ -25,37 +25,36 @@ Semantics are pinned down by ``tests/test_parallel_determinism.py``,
 see ``docs/parallel.md``.
 """
 
-from repro.parallel.atomic import atomic_write_json
-from repro.parallel.check import PropertyVerdict, check_properties
-from repro.parallel.pool import PoolError, WorkerPool, default_jobs
-from repro.parallel.sweep import run_sweep_parallel
-from repro.parallel.tasks import (
-    STATUS_CANCELLED,
-    STATUS_CRASHED,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    ResultEnvelope,
-    Task,
-    TaskResult,
-    shard_range,
-)
+import importlib
 
-__all__ = [
-    "PoolError",
-    "PropertyVerdict",
-    "ResultEnvelope",
-    "STATUS_CANCELLED",
-    "STATUS_CRASHED",
-    "STATUS_ERROR",
-    "STATUS_OK",
-    "STATUS_TIMEOUT",
-    "Task",
-    "TaskResult",
-    "WorkerPool",
-    "atomic_write_json",
-    "check_properties",
-    "default_jobs",
-    "run_sweep_parallel",
-    "shard_range",
-]
+# Public names by submodule; each resolves on first access (PEP 562), so
+# importing the stdlib-only ``atomic`` does not load the engine behind
+# ``check``, ``pool`` and ``sweep``.
+_SOURCES = {
+    "atomic": "atomic_write_json",
+    "check": "PropertyVerdict check_properties",
+    "pool": "PoolError WorkerPool default_jobs",
+    "sweep": "run_sweep_parallel",
+    "tasks": (
+        "STATUS_CANCELLED STATUS_CRASHED STATUS_ERROR STATUS_OK STATUS_TIMEOUT "
+        "ResultEnvelope Task TaskResult shard_range"
+    ),
+}
+_EXPORTS = {
+    name: module for module, names in _SOURCES.items() for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -13,6 +13,8 @@ payload survives untouched.
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -90,3 +92,23 @@ class TestAtomicWrite:
         atomic_write_json(str(target), {"b": 2, "a": 1})
         text = target.read_text()
         assert text == '{\n  "a": 1,\n  "b": 2\n}\n'
+
+
+def test_importing_atomic_loads_no_engine():
+    """``repro.parallel.atomic`` is stdlib-only; the package re-exports
+    resolve lazily, so importing it (as the shape signature and the
+    order cache's design digest do) loads neither the BDD engine nor
+    the oracle."""
+    code = (
+        "import sys, repro.parallel.atomic\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('repro')))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    loaded = done.stdout.split()
+    assert "repro.parallel.atomic" in loaded
+    assert not [m for m in loaded if m.startswith(("repro.bdd", "repro.oracle"))]

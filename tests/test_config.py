@@ -90,14 +90,14 @@ def _option_strings(parser):
 COMMON = {"-h", "--help"}
 
 #: Each command's options, as before the settings moved into one table,
-#: plus ``hsis fuzz --no-shared-shapes``.
+#: plus ``hsis fuzz --no-shared-shapes`` and ``hsis fuzz --auto-gc``.
 LOCAL = {
     "hsis": (cli.main, [], {
         "--stats", "--auto-gc", "--cache-limit", "--auto-reorder", "--trace",
     }),
     "fuzz": (cli._fuzz_main, [], {
         "--trials", "--seed", "--corpus", "--no-shrink", "--stats", "--jobs",
-        "--auto-reorder", "--portfolio", "--shared-shapes",
+        "--auto-gc", "--auto-reorder", "--portfolio", "--shared-shapes",
         "--no-shared-shapes", "--trace",
     }),
     "check": (cli._check_main, ["d.mv", "p.pif"], {
@@ -131,6 +131,7 @@ def test_command_option_strings(monkeypatch, name):
     ("profile", ["--auto-reorder", "30", "--no-shared-shapes"],
      EngineConfig(auto_reorder=30)),
     ("profile", [], EngineConfig(shared_shapes=True)),
+    ("fuzz", ["--auto-gc", "1"], EngineConfig(auto_gc=1)),
 ])
 def test_command_builds_its_config(monkeypatch, name, argv, expected):
     main, args, _ = LOCAL[name]

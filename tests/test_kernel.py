@@ -179,3 +179,21 @@ def test_auto_reorder_kicks_in_and_keeps_answers():
     for env in all_envs():
         assert bdd.eval(f, env) == expected_f[tuple(env.items())]
         assert bdd.eval(g, env) == expected_g[tuple(env.items())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(NAMES), exprs(), exprs())
+def test_mk_is_ite_of_its_children(name, lo_expr, hi_expr):
+    """``mk`` returns the canonical ``ite(var, hi, lo)`` handle, whether
+    it can make the node directly or has to fall back to ``ite``."""
+    bdd = fresh()
+    lo = build(bdd, lo_expr)
+    hi = build(bdd, hi_expr)
+    var = bdd.var_index(name)
+    f = bdd.mk(var, lo, hi)
+    assert f == bdd.ite(bdd.var(var), hi, lo)
+    assert_matches_table(
+        bdd, f, TruthTable.var(len(NAMES), NAMES.index(name)).ite(
+            tt_build(hi_expr), tt_build(lo_expr)
+        )
+    )

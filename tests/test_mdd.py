@@ -1,6 +1,9 @@
 """Unit tests for the multi-valued (MDD) layer."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD, BddError, MddManager
 from repro.bdd.mdd import bits_for
@@ -145,3 +148,55 @@ class TestMddManager:
         constraint = m.domain_constraint([a, b])
         bits = list(a.bits) + list(b.bits)
         assert m.bdd.sat_count(constraint, bits) == 9
+
+
+def _or_of_cubes(var, codes):
+    """The value-set literal as one ``or_`` per code cube."""
+    bdd = var.bdd
+    return bdd.disj(
+        bdd.literal_cube((bit, (code >> i) & 1) for i, bit in enumerate(var.bits))
+        for code in sorted(codes)
+    )
+
+
+class TestRelation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 11), st.data())
+    def test_value_sets_and_domain_match_or_of_cubes(self, n, data):
+        m = MddManager()
+        m.declare("pad", ["a", "b", "c"])
+        v = m.declare("x", [f"v{i}" for i in range(n)])
+        chosen = data.draw(st.sets(st.sampled_from(v.values), min_size=1))
+        codes = [v.code_of(value) for value in chosen]
+        assert v.domain_constraint == _or_of_cubes(v, range(n))
+        assert v.literal(chosen) == _or_of_cubes(v, codes)
+        m.bdd.reorder_now()
+        assert v.domain_constraint == _or_of_cubes(v, range(n))
+        assert v.literal(chosen) == _or_of_cubes(v, codes)
+
+    def test_rows_are_a_union_of_boxes(self):
+        m = MddManager()
+        a = m.declare("a", ["p", "q", "r"])
+        b = m.declare("b", ["u", "v", "w", "x", "y"])
+        rows = [(a.mask(["p"]), b.all_codes), (a.mask(["q", "r"]), b.mask(["w"]))]
+        f = m.relation([a, b], rows)
+        bdd = m.bdd
+        for x, y in itertools.product(a.values, b.values):
+            point = bdd.and_(a.literal(x), b.literal(y))
+            expected = x == "p" or (x in "qr" and y == "w")
+            assert (bdd.and_(f, point) != bdd.false) == expected
+        assert bdd.sat_count(f, list(a.bits) + list(b.bits)) == 5 + 2
+
+    def test_repeated_column_intersects(self):
+        m = MddManager()
+        a = m.declare("a", ["p", "q", "r"])
+        f = m.relation([a, a], [(a.mask(["p", "q"]), a.mask(["q", "r"]))])
+        assert f == a.literal("q")
+        assert m.relation([a, a], [(a.mask(["p"]), a.mask(["r"]))]) == m.bdd.false
+
+    def test_no_rows_and_no_columns(self):
+        m = MddManager()
+        a = m.declare("a", ["p", "q", "r"])
+        assert m.relation([a], []) == m.bdd.false
+        assert m.relation([], [()]) == m.bdd.true
+        assert m.relation([a], [(a.all_codes,)]) == a.domain_constraint

@@ -190,8 +190,11 @@ class ModelChecker:
             return bdd.and_(bdd.not_(eg_not), self.space)
         if isinstance(f, AU):
             # A[f U g] = !(E[!g U (!f & !g)] | EG !g)
-            nf = bdd.and_(bdd.not_(self.eval(f.left)), self.space)
-            ng = bdd.and_(bdd.not_(self.eval(f.right)), self.space)
+            # Both operands first: evaluating g may collect, and only the
+            # cached results are roots, not !f.
+            left, right = self.eval(f.left), self.eval(f.right)
+            nf = bdd.and_(bdd.not_(left), self.space)
+            ng = bdd.and_(bdd.not_(right), self.space)
             # The EU part must survive the safe points inside eg.
             until = self.eu(ng, bdd.and_(nf, ng))
             bdd.register_root("mc.au", until)

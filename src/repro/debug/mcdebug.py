@@ -262,11 +262,23 @@ class CtlDebugger:
     # ------------------------------------------------------------------
 
     def _lasso_witness(self, body: Formula, source: int):
-        """Prefix+cycle (decoded) for a fair path staying in ``body``."""
+        """Prefix+cycle (decoded) for a fair path from ``source`` staying in
+        ``body``."""
         bdd = self.bdd
-        region = self.mc.eval(body) if not isinstance(body, TrueF) else self.mc.space
-        region = bdd.and_(region, self.mc.eg(region))
-        scc = find_fair_scc(self.graph, self.mc.normalized, region)
+        # The fixpoints below run GC safe points that do not know
+        # ``source``, so it stays rooted until the last of them returns.
+        bdd.register_root("debug.source", source)
+        try:
+            region = self.mc.eval(body) if not isinstance(body, TrueF) else self.mc.space
+            region = bdd.and_(region, self.mc.eg(region))
+            # Only a fair cycle that source reaches inside the region can
+            # close its lasso.
+            region = self.graph.forward_within(
+                region, bdd.and_(source, region), self.graph.trans
+            )
+            scc = find_fair_scc(self.graph, self.mc.normalized, region)
+        finally:
+            bdd.deregister_root("debug.source")
         assert scc is not None, "EG region contains no fair cycle"
         t_region = self.graph.restrict(self.graph.trans, region)
         prefix_minterms = shortest_path_within(

@@ -5,22 +5,25 @@ Both language containment and fair CTL model checking reduce to *cycle
 exploration*: does a reachable cycle exist that satisfies all fairness
 constraints?  Following HSIS (which builds on Emerson-Lei [10] and the
 efficient ω-regular containment operators of Hojati et al. [17]), the
-engine works in two phases:
+engine decides it with fixpoints over the pair (region, relation):
 
-1. **Hull computation** (:func:`fair_hull`) — an Emerson-Lei-style
-   greatest fixpoint that prunes the state space to an over-approximation
-   of the states lying on fair cycles.  For pure (generalized) Büchi
-   fairness the hull is exact: every hull state starts a fair path inside
-   the hull.
-2. **SCC refinement** — exact emptiness for Streett conditions.  One
-   enumerator, :func:`nontrivial_sccs`, yields every non-trivial SCC of a
-   region (Xie-Beerel forward/backward closure from a seed state, with
-   trimming that relies on what each split already proves), and
-   :func:`_check_scc` applies the classic Streett edge-removal recursion
-   to each: an SCC containing ``E``-edges but no ``F``-edge cannot use
-   those ``E``-edges, so they are deleted and the sub-SCCs re-enumerated.
-   :func:`find_fair_scc` stops at the first accepted SCC;
-   :func:`all_fair_states` takes the union of all of them.
+1. **Hull** (:func:`fair_hull`) — an Emerson-Lei-style greatest fixpoint
+   that prunes the state space to an over-approximation of the states
+   lying on fair cycles.  For pure (generalized) Büchi fairness the hull
+   is exact: every hull state starts a fair path inside the hull.
+2. **Streett edge deletion** (:func:`fair_core`) — exact emptiness for
+   Streett pairs ``inf(E) -> inf(F)``, an edge-deleting form of the
+   Kesten-Pnueli-Raviv compassion fixpoint.  A hull state that cannot
+   reach an ``F``-edge inside the hull lies on no fair cycle through one
+   of its ``E``-edges, so those edges are deleted from the relation and
+   the hull recomputed, until a round deletes nothing.  No edge of a fair
+   cycle is ever deleted, and every bottom SCC of the final (hull,
+   relation) is fair, so the final hull is empty iff no fair cycle
+   exists.
+
+:func:`all_fair_states` is the backward closure of that final hull under
+the full relation.  :func:`find_fair_scc` needs an SCC only for its
+witness: it returns one bottom SCC of the final hull.
 
 Edge sets are BDDs over (present, next) state bits and are always
 interpreted intersected with the transition relation.
@@ -34,7 +37,7 @@ need, including the callers' unrooted arguments.
 
 from __future__ import annotations
 
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -112,8 +115,9 @@ class FairGraph:
         """States with an outgoing edge in ``edges`` (within ``trans``)."""
         return self.bdd.exist(self._y_cube, self.bdd.and_(trans, edges))
 
-    def prime(self, states: int) -> int:
-        return self.bdd.rename(states, self._x_to_y, strict=False)
+    def sources_within(self, edges: int, region: int) -> int:
+        """States of ``region`` with an edge of ``edges`` into ``region``."""
+        return self.bdd.and_(region, self.pre(region, edges))
 
     # -- closures ----------------------------------------------------------
 
@@ -147,7 +151,14 @@ class FairGraph:
     def invariant_core(self, region: int, trans: int) -> int:
         """Greatest subset of ``region`` where every state has a successor
         inside the subset (nu Z. region & pre(Z))."""
-        return _trim(self, region, trans, pred=False)
+        bdd = self.bdd
+        z = region
+        while True:
+            kept = bdd.and_(z, self.pre(z, trans))
+            if kept == z:
+                return z
+            z = kept
+            self.safe_point(region, trans, z)
 
     def pick_state(self, states: int) -> Optional[int]:
         """One concrete state of ``states`` as a minterm BDD (None if empty)."""
@@ -198,7 +209,7 @@ def fair_hull(
     """Emerson-Lei hull: over-approximation of the fair-cycle states.
 
     Exact for generalized Büchi; an upper bound in the presence of
-    Streett pairs (refined by :func:`find_fair_scc`).  With no fairness
+    Streett pairs (refined by :func:`fair_core`).  With no fairness
     constraints at all this degenerates to "states on or leading to some
     cycle" (``nu Z . EX Z``), which is what plain infinite behaviour
     requires.
@@ -217,11 +228,6 @@ def fair_hull(
         return bdd.false  # a required edge set has no edges at all
     streett_f_trans = [bdd.and_(t, f) for _e, f, _label in fairness.streett]
     streett_avoid_trans = [bdd.diff(t, e) for e, _f, _label in fairness.streett]
-
-    def sources_within(trans_subset: int, region: int) -> int:
-        """States of ``region`` with a ``trans_subset`` edge into ``region``."""
-        return bdd.and_(region, graph.pre(region, trans_subset))
-
     old = z  # the frame reads it before the loop first sets it
     with graph.hold(lambda: [space, t, z, old, *buchi_trans, *streett_f_trans,
                              *streett_avoid_trans, *fairness.nodes()]):
@@ -230,13 +236,13 @@ def fair_hull(
             # Every hull state needs a successor inside the hull.
             z = bdd.and_(z, graph.pre(z, t))
             for tb in buchi_trans:
-                target = sources_within(tb, z)
+                target = graph.sources_within(tb, z)
                 z = graph.backward_within(z, target, t)
             for tf, t_avoid in zip(streett_f_trans, streett_avoid_trans):
                 # avoid first: target_f is in no frame, so it must not be
                 # held across invariant_core's safe points.
                 avoid = graph.invariant_core(z, t_avoid)
-                target_f = sources_within(tf, z)
+                target_f = graph.sources_within(tf, z)
                 z = graph.backward_within(z, bdd.or_(target_f, avoid), t)
             if z == old:
                 return z
@@ -244,7 +250,7 @@ def fair_hull(
 
 
 # ----------------------------------------------------------------------
-# Exact SCC-based search (Streett refinement, Xie-Beerel enumeration)
+# Exact Streett refinement (edge deletion) and the witness SCC
 # ----------------------------------------------------------------------
 
 
@@ -263,130 +269,104 @@ class FairScc:
     required_edges: List[Tuple[int, str]] = field(default_factory=list)
 
 
-def _trim(
+def fair_core(
     graph: FairGraph,
-    region: int,
-    trans: int,
-    succ: bool = True,
-    pred: bool = True,
-) -> int:
-    """Shrink ``region`` to states with a successor (``succ``) and a
-    predecessor (``pred``) inside it.
+    fairness: NormalizedFairness,
+    space: int,
+) -> Tuple[int, int]:
+    """The exact fair-cycle region of ``space`` and its refined relation.
 
-    Every SCC state has both within its own SCC, so no non-trivial SCC
-    is lost, while transient fringe states — which would otherwise each
-    cost a full seed-and-closure round — disappear in a cheap fixpoint.
-    Removing a state without a successor never takes a predecessor away
-    from a kept state (and vice versa), so a region that already has one
-    property only needs the fixpoint for the other.
+    Returns ``(region, trans)``: ``region`` is empty iff no cycle within
+    ``space`` satisfies all fairness constraints.  Every state of
+    ``region`` has a successor in it under ``trans`` (a sub-relation of
+    the effective cycle relation), and every bottom SCC of ``region``
+    under ``trans`` is fair.
+
+    Starting from the converged :func:`fair_hull`, each round computes,
+    for every residual Streett pair ``(E, F)``, the hull states that can
+    reach the source of an ``F``-edge into the hull, and deletes every
+    ``E``-edge whose source is a hull state outside that set: a cycle
+    through such an edge never sees ``F``.  A fair cycle with an
+    ``E``-edge has an ``F``-edge, which all its states reach, so it keeps
+    all its edges, and the hull, recomputed under the pruned relation,
+    keeps every fair cycle.  The rounds stop when one deletes nothing;
+    then an ``E``-edge inside a bottom SCC starts at a state that reaches
+    an ``F``-edge, and that path and edge stay inside the bottom SCC.
     """
     bdd = graph.bdd
-    z = region
-    while True:
-        kept = z
-        if succ:
-            kept = bdd.and_(kept, graph.pre(kept, trans))
-        if pred:
-            kept = bdd.and_(kept, graph.post(kept, trans))
-        if kept == z:
-            return z
-        z = kept
-        graph.safe_point(region, trans, z)
+    tracer = graph.fsm.stats.tracer
+    trans, residual = effective_cycle_relation(graph, fairness)
+    region = bdd.false  # the frame reads it before the hull sets it
+    with graph.hold(lambda: [space, trans, region, *fairness.nodes()]):
+        region = fair_hull(graph, residual, space, trans=trans)
+        rounds = 0
+        while region != bdd.false and residual.streett:
+            pruned = []
+            for e_set, f_set, label in residual.streett:
+                f_sources = graph.sources_within(bdd.and_(trans, f_set), region)
+                reach_f = graph.backward_within(region, f_sources, trans)
+                stuck = bdd.diff(region, reach_f)
+                kept = bdd.diff(trans, bdd.and_(stuck, e_set))
+                if kept != trans:
+                    trans = kept
+                    pruned.append(label)
+            if not pruned:
+                break
+            rounds += 1
+            if tracer.enabled:
+                tracer.instant(
+                    "lc.streett_prune", cat="lc",
+                    round=rounds, pairs=pruned, hull_nodes=bdd.size(region),
+                )
+            region = fair_hull(graph, residual, region, trans=trans)
+        return region, trans
 
 
-def _self_loop(graph: FairGraph, state: int, trans: int) -> bool:
-    """Whether the single state ``state`` has an edge to itself.  The edge
-    is one minterm over both copies of the state bits, so the conjunction
-    walks one path of ``trans``."""
-    bdd = graph.bdd
-    return bdd.and_(trans, bdd.and_(state, graph.prime(state))) != bdd.false
+def _bottom_scc(graph: FairGraph, region: int, trans: int) -> int:
+    """One SCC of ``region`` under ``trans`` that no edge leaves inside
+    ``region``.
 
-
-def nontrivial_sccs(graph: FairGraph, region: int, trans: int) -> Iterator[int]:
-    """Yield every non-trivial SCC of ``region`` under ``trans``, once each.
-
-    Xie-Beerel divide and conquer: from a seed state of a part, ``fwd``
-    is its forward closure within the part and the SCC is the backward
-    closure of the seed within ``fwd`` (the SCC lies inside ``fwd``).
-    The rest splits into ``fwd \\ scc`` and ``part \\ fwd``, and no SCC
-    spans both.
-
-    Only the starting region is trimmed on both sides.  Each split keeps
-    one side of the trim for free, so the next part needs the fixpoint
-    for the other side only:
-
-    * ``part \\ fwd`` keeps every predecessor: a predecessor inside
-      ``fwd`` would have put the state in ``fwd``.  It may have lost
-      successors, so only states without one are trimmed.
-    * ``fwd \\ scc`` keeps every successor: a successor inside ``scc``
-      would have put the state in ``scc``.  Only states without a
-      predecessor are trimmed.
-
-    Every popped part is a GC safe point.  The generator holds its work
-    stack while suspended, so the caller may run safe points of its own
-    between two SCCs; close it (or exhaust it) to release them.
+    From a seed, ``fwd`` is its forward closure and the seed's SCC the
+    backward closure within ``fwd``.  If the two differ, ``fwd \\ scc``
+    is forward-closed inside ``region`` and holds a bottom SCC, so the
+    search reseeds there.  Every ``region`` state must have a successor
+    in ``region``, which makes the SCC found non-trivial.
     """
     bdd = graph.bdd
-    # Work stack of (part, trim the successor side, trim the predecessor side).
-    stack = [(bdd.and_(region, graph.space), True, True)]
-    part = fwd = scc = bdd.false  # the frame reads them before they are set
-    with graph.hold(lambda: [region, trans, part, fwd, scc,
-                             *(entry[0] for entry in stack)]):
-        while stack:
-            part, succ, pred = stack.pop()
-            graph.safe_point()
-            part = _trim(graph, part, trans, succ=succ, pred=pred)
-            if part == bdd.false:
-                continue
+    part = region
+    fwd = scc = bdd.false  # the frame reads them before they are set
+    with graph.hold(lambda: [region, trans, part, fwd, scc]):
+        while True:
             seed = graph.pick_state(part)
             fwd = graph.forward_within(part, seed, trans)
             scc = graph.backward_within(fwd, seed, trans)
-            # A single state is an SCC only with a self-loop.
-            if scc != seed or _self_loop(graph, seed, trans):
-                yield scc
-            stack.append((bdd.diff(fwd, scc), False, True))
-            stack.append((bdd.diff(part, fwd), True, False))
+            if scc == fwd:
+                return scc
+            part = bdd.diff(fwd, scc)
 
 
-def _first_fair_scc(
+def find_fair_scc(
     graph: FairGraph,
-    region: int,
-    trans: int,
     fairness: NormalizedFairness,
+    space: int,
 ) -> Optional[FairScc]:
-    """The first SCC of ``region`` that :func:`_check_scc` accepts."""
-    with closing(nontrivial_sccs(graph, region, trans)) as sccs:
-        for scc in sccs:
-            found = _check_scc(graph, scc, trans, fairness)
-            if found is not None:
-                return found
-    return None
+    """Exact search for a fair strongly connected subgraph within ``space``.
 
-
-def _check_scc(
-    graph: FairGraph,
-    scc: int,
-    trans: int,
-    fairness: NormalizedFairness,
-) -> Optional[FairScc]:
-    """A fair subgraph of the non-trivial SCC ``scc`` (None if none)."""
+    Returns None iff no cycle within ``space`` satisfies all fairness
+    constraints — i.e. the language (restricted to ``space``) is empty.
+    Otherwise the witness is a bottom SCC of :func:`fair_core`'s region
+    under its refined relation.  The witness cycle uses only that
+    relation (unsatisfiable Streett pairs compiled into edge deletions,
+    and ``E``-edges that cannot see their ``F`` deleted); the caller's
+    prefix may use the full relation.
+    """
     bdd = graph.bdd
-    t_scc = graph.restrict(trans, scc)
-    for edges, _label in fairness.buchi:
-        if bdd.and_(t_scc, edges) == bdd.false:
+    with graph.hold(lambda: [space, *fairness.nodes()]):
+        region, trans = fair_core(graph, fairness, space)
+        if region == bdd.false:
             return None
-    removable = bdd.false
-    for e_set, f_set, _label in fairness.streett:
-        if (
-            bdd.and_(t_scc, e_set) != bdd.false
-            and bdd.and_(t_scc, f_set) == bdd.false
-        ):
-            removable = bdd.or_(removable, e_set)
-    if removable != bdd.false:
-        # Offending E-edges cannot appear on any fair cycle here: delete
-        # them and re-decompose.
-        pruned = bdd.diff(t_scc, removable)
-        return _first_fair_scc(graph, scc, pruned, fairness)
+        scc = _bottom_scc(graph, region, trans)
+    t_scc = graph.restrict(trans, scc)
     required: List[Tuple[int, str]] = []
     for edges, label in fairness.buchi:
         required.append((bdd.and_(t_scc, edges), label))
@@ -396,32 +376,6 @@ def _check_scc(
     return FairScc(states=scc, trans=t_scc, required_edges=required)
 
 
-def find_fair_scc(
-    graph: FairGraph,
-    fairness: NormalizedFairness,
-    space: int,
-    use_hull: bool = True,
-) -> Optional[FairScc]:
-    """Exact search for a fair strongly connected subgraph within ``space``.
-
-    Returns None iff no cycle within ``space`` satisfies all fairness
-    constraints — i.e. the language (restricted to ``space``) is empty.
-    The witness cycle uses only the *effective* relation (unsatisfiable
-    Streett pairs compiled into edge deletions); the caller's prefix may
-    use the full relation.
-    """
-    bdd = graph.bdd
-    t_eff, residual = effective_cycle_relation(graph, fairness)
-    with graph.hold(lambda: [space, t_eff, *fairness.nodes()]):
-        region = (
-            fair_hull(graph, residual, space, trans=t_eff) if use_hull else space
-        )
-        region = bdd.and_(region, space)
-        if region == bdd.false:
-            return None
-        return _first_fair_scc(graph, region, t_eff, residual)
-
-
 def all_fair_states(
     graph: FairGraph,
     fairness: NormalizedFairness,
@@ -429,23 +383,14 @@ def all_fair_states(
 ) -> int:
     """All states of ``space`` from which a fair path inside ``space`` exists.
 
-    For pure Büchi fairness this is ``E[space U hull]`` with the exact
-    Emerson-Lei hull.  With Streett pairs the hull may be strict, so the
-    fair SCCs inside it are enumerated exhaustively and the backward
-    closure taken from their union (exact, potentially slower — used by
-    fair CTL only when Streett constraints are present).
+    Every state of :func:`fair_core`'s region reaches a fair bottom SCC
+    inside it, and every state on a fair cycle is in the region, so the
+    answer is the region's backward closure under the full relation.
+    For pure Büchi fairness the region is the Emerson-Lei hull.
     """
     bdd = graph.bdd
-    t_eff, residual = effective_cycle_relation(graph, fairness)
-    cores = bdd.false
-    with graph.hold(lambda: [space, t_eff, cores, *fairness.nodes()]):
-        hull = fair_hull(graph, residual, space, trans=t_eff)
-        if not residual.streett:
-            cores = hull
-        else:
-            for scc in nontrivial_sccs(graph, hull, t_eff):
-                if _check_scc(graph, scc, t_eff, residual) is not None:
-                    cores = bdd.or_(cores, scc)
+    with graph.hold(lambda: [space, *fairness.nodes()]):
+        region, _trans = fair_core(graph, fairness, space)
         return graph.backward_within(
-            bdd.and_(space, graph.space), cores, graph.trans
+            bdd.and_(space, graph.space), region, graph.trans
         )

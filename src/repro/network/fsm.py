@@ -329,6 +329,8 @@ class SymbolicFsm:
             # (frontier is always rings[-1] and current is rings[0] when
             # image() runs, so the group covers every handle the loop
             # holds besides reached, which is registered separately.)
+            # Registering the group drops the rings of an earlier run;
+            # each new ring then adds its own root.
             bdd.register_root_group("fsm.rings", rings)
             iterations = 0
             converged = False
@@ -350,7 +352,7 @@ class SymbolicFsm:
                     break
                 reached = bdd.or_(reached, frontier)
                 rings.append(frontier)
-                bdd.register_root_group("fsm.rings", rings)
+                bdd.register_root(f"fsm.rings.{len(rings) - 1}", frontier)
                 bdd.register_root("fsm.reached", reached)
                 if tracer.enabled:
                     tracer.instant(

@@ -2,8 +2,10 @@
 
 The reference counterpart of :mod:`repro.lc.faircycle`.  Fairness is a
 list of Büchi edge predicates plus Streett (e, f) pairs, evaluated on
-explicit ``(src, dst)`` edges.  A fair SCC is found exactly the way the
-symbolic engine's ``_check_scc`` decides it:
+explicit ``(src, dst)`` edges.  A fair SCC is found by the classic
+Streett edge-removal recursion over SCCs, which shares no logic with
+the symbolic engine's edge-deleting fixpoint and so serves as an
+independent reference for it:
 
 * every Büchi predicate must be witnessed by an internal edge of the SCC
   (single-state SCCs need a self-loop),
@@ -131,7 +133,8 @@ def _internal_edges(comp: Set[Node], edges: Set[Edge]) -> Set[Edge]:
 def _scc_is_fair(
     comp: Set[Node], edges: Set[Edge], fairness: ExplicitFairness
 ) -> bool:
-    """Mirror of ``faircycle._check_scc`` on one candidate component."""
+    """Whether the component ``comp`` holds a fair cycle (Streett
+    edge-removal recursion)."""
     internal = _internal_edges(comp, edges)
     if not internal:
         return False  # single state without a self-loop

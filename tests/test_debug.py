@@ -34,6 +34,22 @@ CHAIN = """
 """
 
 
+# Two sinks that cannot reach each other: 0 -> 1|3, 3 -> 2, loops on 1, 2.
+FORK = """
+.model fork
+.mv s,n 4
+.table s -> n
+0 (1,3)
+1 1
+2 2
+3 2
+.latch n s
+.reset s
+0
+.end
+"""
+
+
 def chain_model():
     return flatten(parse(CHAIN))
 
@@ -212,3 +228,16 @@ class TestCtlDebugger:
         assert node.holds
         cycle_states = {step.state["s"] for step in node.path}
         assert "3" in cycle_states
+
+    def test_lasso_cycle_is_reachable_from_the_state(self):
+        fsm = SymbolicFsm(flatten(parse(FORK)))
+        fsm.build_transition()
+        dbg = CtlDebugger(ModelChecker(fsm))
+        # Both loops stay outside {0, 3}; each state's lasso is its own.
+        for sink in ("1", "2"):
+            node = dbg.explain("AF (s=0 | s=3)", state={"s": sink})
+            assert not node.holds
+            assert [step.state["s"] for step in node.path] == [sink]
+        node = dbg.explain("AG AF (s=0 | s=3)")
+        assert [step.state["s"] for step in node.path] == ["0", "1"]
+        assert [step.state["s"] for step in node.children[0].path] == ["1"]

@@ -19,11 +19,14 @@ from repro.lc.faircycle import (
     FairGraph,
     all_fair_states,
     effective_cycle_relation,
+    fair_core,
     fair_hull,
     find_fair_scc,
 )
+from repro.lc import check_containment
 from repro.models import get_spec
 from repro.network import SymbolicFsm
+from repro.trace import Tracer
 
 
 def machine(rows, nvalues, reset="0"):
@@ -185,20 +188,51 @@ class TestStreett:
         assert fsm.bdd.and_(t_eff, self._edge(fsm, "1", "2")) == fsm.bdd.false
 
     def test_streett_edge_removal_recursion(self):
-        # SCC {1,2,3}: 1->2->3->1, plus 2->2 self loop.
-        # Pair (E = 3->1, F = unsat): must avoid 3->1; the surviving
+        # SCC {1,2,3}: 1->2->3->1, plus a 2->2 self loop; 0 -> 4 -> 1.
+        # Pair (E = 3->1, F = 4->1): F has an edge, so the effective
+        # relation keeps 3->1, and the hull keeps the whole SCC.  No SCC
+        # state reaches the F-edge, so 3->1 is deleted; the surviving
         # subgraph has the 2->2 cycle.
-        fsm = machine(["0 1", "1 2", "2 3", "2 2", "3 1"], 4)
+        fsm = machine(["0 4", "4 1", "1 2", "2 3", "2 2", "3 1"], 5)
         graph = FairGraph(fsm)
         spec = FairnessSpec([
-            StreettPair(e=self._edge(fsm, "3", "1"), f=fsm.bdd.false)
+            StreettPair(e=self._edge(fsm, "3", "1"), f=self._edge(fsm, "4", "1"))
         ])
         norm = spec.normalize(fsm.bdd, fsm.bdd.true)
-        scc = find_fair_scc(graph, norm, fsm.reachable().reached, use_hull=False)
+        reached = fsm.reachable().reached
+        t_eff, residual = effective_cycle_relation(graph, norm)
+        assert fsm.bdd.and_(t_eff, self._edge(fsm, "3", "1")) != fsm.bdd.false
+        hull = fair_hull(graph, residual, reached, trans=t_eff)
+        assert {"1", "2", "3"} <= states_of(fsm, hull)
+        region, trans = fair_core(graph, norm, reached)
+        assert states_of(fsm, region) == {"0", "1", "2", "4"}
+        assert fsm.bdd.and_(trans, self._edge(fsm, "3", "1")) == fsm.bdd.false
+        scc = find_fair_scc(graph, norm, reached)
         assert scc is not None
-        assert states_of(fsm, scc.states) <= {"1", "2", "3"}
+        assert states_of(fsm, scc.states) == {"2"}
         # the witness cycle cannot contain the deleted edge
         assert fsm.bdd.and_(scc.trans, self._edge(fsm, "3", "1")) == fsm.bdd.false
+
+    def test_pruning_rounds_are_traced(self):
+        # The graph above with a second pair on the 2->2 loop: one round
+        # deletes 3->1 and 2->2, after which the hull is empty.
+        tracer = Tracer()
+        fsm = machine(["0 4", "4 1", "1 2", "2 3", "2 2", "3 1"], 5)
+        fsm.stats.tracer = tracer
+        graph = FairGraph(fsm)
+        f_edge = self._edge(fsm, "4", "1")
+        spec = FairnessSpec([
+            StreettPair(e=self._edge(fsm, "3", "1"), f=f_edge, label="one"),
+            StreettPair(e=self._edge(fsm, "2", "2"), f=f_edge, label="two"),
+        ])
+        norm = spec.normalize(fsm.bdd, fsm.bdd.true)
+        assert find_fair_scc(graph, norm, fsm.reachable().reached) is None
+        prunes = [e["args"] for e in tracer.events
+                  if e["name"] == "lc.streett_prune"]
+        assert len(prunes) == 1
+        assert prunes[0]["round"] == 1
+        assert prunes[0]["pairs"] == ["one", "two"]
+        assert prunes[0]["hull_nodes"] > 0
 
 
 class TestFairStates:
@@ -223,14 +257,12 @@ class TestFairStates:
         assert states_of(fsm, fair) == {"0", "1", "2"}
 
 
-class TestEnumeratorCost:
-    def test_2mdlc_fair_ctl_peak_live_nodes(self):
-        """2mdlc width 1, data_integrity under the PIF's Streett fairness.
+class TestFairCycleCost:
+    """Peak live nodes of 2mdlc's fair checks.  The counts are
+    deterministic; each bound is the measured figure."""
 
-        The node count is deterministic.  Enumerating every fair SCC of the
-        untrimmed hull, one seed at a time, peaked at 96,053 live nodes;
-        the split-aware enumerator peaks at 27,282."""
-        spec = get_spec("2mdlc", width=1)
+    @staticmethod
+    def _fair_ctl(spec):
         fsm = SymbolicFsm(spec.flat())
         fsm.build_transition(method="greedy")
         reached = fsm.reachable().reached
@@ -238,4 +270,29 @@ class TestEnumeratorCost:
             fsm, fairness=spec.pif.bind_fairness(fsm), reached=reached)
         ((_name, formula),) = spec.pif.ctl_props
         assert checker.check(formula).holds
-        assert fsm.bdd.stats()["peak_live_nodes"] <= 40_000
+        return fsm.bdd.stats()["peak_live_nodes"]
+
+    def test_2mdlc_fair_ctl_peak_live_nodes(self):
+        """2mdlc width 1, data_integrity under the PIF's Streett fairness.
+
+        Enumerating every fair SCC of the untrimmed hull, one seed at a
+        time, peaked at 96,053 live nodes and the split-aware SCC
+        enumerator at 26,874; the edge-deleting Streett fixpoint peaks
+        at 2,345."""
+        assert self._fair_ctl(get_spec("2mdlc", width=1)) <= 2_345
+
+    def test_table1_2mdlc_lc_and_fair_ctl(self):
+        """2mdlc at its Table-1 width (5): lc_progress and data_integrity.
+
+        The SCC enumerator needed 7,362 seeds and 1.39M peak live nodes
+        for the LC check, and the fair-CTL check did not finish; the
+        edge-deleting fixpoint peaks at 43,287 (LC) and 15,749 (fair
+        CTL, reachability included)."""
+        spec = get_spec("2mdlc")
+        (automaton,) = spec.pif.automata
+        fsm = SymbolicFsm(spec.flat())
+        result = check_containment(
+            fsm, automaton, system_fairness=spec.pif.bind_fairness(fsm))
+        assert result.holds
+        assert fsm.bdd.stats()["peak_live_nodes"] <= 43_287
+        assert self._fair_ctl(spec) <= 15_749

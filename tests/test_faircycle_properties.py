@@ -10,10 +10,13 @@ are checked two ways:
   the Streett edge-removal recursion).
 
 The verdicts must agree, and any witness SCC the symbolic engine returns
-must itself satisfy all constraints.  The SCC enumerator and
+must itself satisfy all constraints.  With Streett pairs over explicit
+edge sets, the verdict and witness of :func:`find_fair_scc` and
 :func:`repro.lc.faircycle.all_fair_states` are checked against
 :mod:`repro.oracle.graphs`, once with a default manager and once with a
-collection at every safe point.
+collection at every safe point; the witness is also checked to be a
+bottom SCC of the refined relation :func:`repro.lc.faircycle.fair_core`
+returns.
 """
 
 import itertools
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.fairness import (
+    BuchiEdge,
     BuchiState,
     FairnessSpec,
     NegativeStateSet,
@@ -33,12 +37,17 @@ from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.lc.faircycle import (
     FairGraph,
     all_fair_states,
+    fair_core,
     find_fair_scc,
-    nontrivial_sccs,
 )
 from repro.debug.trace import thread_fair_cycle
 from repro.network import SymbolicFsm
-from repro.oracle.graphs import ExplicitFairness, fair_path_states, sccs
+from repro.oracle.graphs import (
+    ExplicitFairness,
+    fair_path_states,
+    fair_sccs,
+    sccs,
+)
 
 N_STATES = 5
 VALUES = [str(i) for i in range(N_STATES)]
@@ -74,6 +83,46 @@ def build_machine(edges, config=DEFAULT_CONFIG):
 def decode(fsm, states):
     """The latch values of a state set."""
     return frozenset(s["s"] for s in fsm.states_iter(states))
+
+
+def edge_bdd(fsm, edge_set):
+    """The edge set ``{(src, dst), ...}`` over present and next state."""
+    bdd = fsm.bdd
+    s, sn = fsm.var("s"), fsm.var("s#n")
+    out = bdd.false
+    for u, v in sorted(edge_set):
+        out = bdd.or_(out, bdd.and_(s.literal(u), sn.literal(v)))
+    return out
+
+
+def decode_edges(fsm, rel):
+    """The explicit ``(src, dst)`` edges of a relation BDD."""
+    bdd = fsm.bdd
+    s, sn = fsm.var("s"), fsm.var("s#n")
+    return {
+        (u, v) for u in DOMAIN for v in DOMAIN
+        if bdd.and_(rel, bdd.and_(s.literal(u), sn.literal(v))) != bdd.false
+    }
+
+
+def replays(fair_graph, scc):
+    """A cycle threaded through ``scc`` steps along ``scc.trans`` and
+    hits every required edge set."""
+    bdd = fair_graph.bdd
+    x_to_y = fair_graph.fsm.x_to_y()
+    anchor = fair_graph.pick_state(scc.states)
+    assert anchor is not None
+    cycle = thread_fair_cycle(fair_graph, scc, anchor)
+    assert len(cycle) >= 1
+    steps = [bdd.and_(a, bdd.rename(b, x_to_y))
+             for a, b in zip(cycle, cycle[1:] + [cycle[0]])]
+    for step in steps:
+        assert bdd.and_(scc.trans, step) != bdd.false
+    for required, label in scc.required_edges:
+        if required == bdd.false:
+            continue
+        assert any(bdd.and_(required, step) != bdd.false for step in steps), (
+            f"cycle misses required edge set {label}")
 
 
 # -- explicit reference ----------------------------------------------------
@@ -184,51 +233,110 @@ def test_symbolic_agrees_with_explicit(edges, buchi_sets, neg_sets, streett):
     if scc is not None:
         # The witness SCC must be non-trivial and internally consistent:
         # a threaded cycle exists and visits every required edge set.
-        anchor = fair_graph.pick_state(scc.states)
-        assert anchor is not None
-        cycle = thread_fair_cycle(fair_graph, scc, anchor)
-        assert len(cycle) >= 1
-        # Each consecutive pair is a transition of scc.trans.
-        bdd = fsm.bdd
-        for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
-            b_primed = bdd.rename(b, fsm.x_to_y())
-            step = bdd.and_(bdd.and_(scc.trans, a), b_primed)
-            assert step != bdd.false
-        # Every required edge set is hit somewhere on the cycle.
-        for required, label in scc.required_edges:
-            if required == bdd.false:
-                continue
-            hit = False
-            for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
-                b_primed = bdd.rename(b, fsm.x_to_y())
-                edge = bdd.and_(bdd.and_(required, a), b_primed)
-                if edge != bdd.false:
-                    hit = True
-                    break
-            assert hit, f"cycle misses required edge set {label}"
+        replays(fair_graph, scc)
 
 
-# -- the SCC enumerator and all_fair_states against repro.oracle ------------
+# -- edge-set Streett pairs against repro.oracle ------------------------
+
+
+@st.composite
+def edge_fairness(draw):
+    """Edges, Büchi edge sets and one to three Streett pairs whose ``E``
+    and ``F`` are explicit edge sets drawn from those edges."""
+    edges = draw(edges_strategy())
+    edge_set = st.frozensets(st.sampled_from(sorted(edges)), max_size=3)
+    buchi = draw(st.lists(edge_set, max_size=2))
+    streett = draw(st.lists(st.tuples(edge_set, edge_set),
+                            min_size=1, max_size=3))
+    return edges, buchi, streett
+
+
+def edge_spec(fsm, buchi, streett):
+    return FairnessSpec(
+        [BuchiEdge(edge_bdd(fsm, b)) for b in buchi]
+        + [StreettPair(e=edge_bdd(fsm, e), f=edge_bdd(fsm, f))
+           for e, f in streett]
+    ).normalize(fsm.bdd, fsm.bdd.true)
+
+
+def explicit_edge_fairness(buchi, streett):
+    return ExplicitFairness(
+        buchi=[lambda u, v, b=b: (u, v) in b for b in buchi],
+        streett=[(lambda u, v, e=e: (u, v) in e, lambda u, v, f=f: (u, v) in f)
+                 for e, f in streett],
+    )
+
+
+def reachable_from_zero(edges):
+    graph = nx.DiGraph(edges)
+    graph.add_node("0")
+    return nx.descendants(graph, "0") | {"0"}
 
 
 @settings(max_examples=60, deadline=None)
-@given(edges_strategy())
-def test_enumerator_yields_each_nontrivial_scc_once(edges):
-    succ = {v: [] for v in DOMAIN}
-    for u, v in edges:
-        succ[u].append(v)
-    expected = {
-        frozenset(comp)
-        for comp in sccs(DOMAIN, lambda n: succ[n])
-        if len(comp) > 1 or any(n in succ[n] for n in comp)
-    }
+@given(edge_fairness())
+def test_edge_streett_pairs_match_oracle(case):
+    edges, buchi, streett = case
+    fairness = explicit_edge_fairness(buchi, streett)
+    reachable = reachable_from_zero(edges)
+    oracle_sccs = [frozenset(c) for c in fair_sccs(reachable, set(edges), fairness)]
+    oracle_fair = fair_path_states(set(DOMAIN), set(edges), fairness)
+    what = f"edges={edges} buchi={buchi} streett={streett}"
     for config in (DEFAULT_CONFIG, EngineConfig(auto_gc=1)):
         fsm = build_machine(edges, config)
         graph = FairGraph(fsm)
-        found = [decode(fsm, scc)
-                 for scc in nontrivial_sccs(graph, graph.space, graph.trans)]
-        assert len(found) == len(set(found)), f"edges={edges}: repeated SCC"
-        assert set(found) == expected, f"edges={edges} {config}"
+        # Reachability runs safe points of its own: the fairness terms
+        # are built after it.
+        reached = fsm.reachable().reached
+        spec = edge_spec(fsm, buchi, streett)
+        scc = find_fair_scc(graph, spec, reached)
+        assert (scc is not None) == bool(oracle_sccs), f"{what} {config}"
+        if scc is not None:
+            # The witness is a fair subgraph of one of the oracle's fair
+            # SCCs: strongly connected, with every Büchi set, and an F-edge
+            # for each pair whose E-edge it uses.
+            witness = decode(fsm, scc.states)
+            inside = decode_edges(fsm, scc.trans)
+            assert inside <= set(edges)
+            assert all(u in witness and v in witness for u, v in inside)
+            assert any(witness <= comp for comp in oracle_sccs), what
+            (component,) = sccs(sorted(witness),
+                                lambda n: [v for u, v in inside if u == n])
+            assert component == witness and inside, what
+            for b in buchi:
+                assert inside & b, what
+            for e, f in streett:
+                assert not inside & e or inside & f, what
+            replays(graph, scc)
+        fair = all_fair_states(graph, spec, graph.space)
+        assert decode(fsm, fair) == oracle_fair, f"{what} {config}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_fairness())
+def test_witness_is_a_bottom_scc_of_the_refined_relation(case):
+    edges, buchi, streett = case
+    fsm = build_machine(edges)
+    graph = FairGraph(fsm)
+    spec = edge_spec(fsm, buchi, streett)
+    region, trans = fair_core(graph, spec, graph.space)
+    inside = decode(fsm, region)
+    refined = {(u, v) for u, v in decode_edges(fsm, trans)
+               if u in inside and v in inside}
+    scc = find_fair_scc(graph, spec, graph.space)
+    assert (scc is None) == (not inside)
+    if scc is None:
+        return
+    witness = decode(fsm, scc.states)
+    components = sccs(sorted(inside),
+                      lambda n: [v for u, v in refined if u == n])
+    assert witness in [frozenset(c) for c in components]
+    assert not [(u, v) for u, v in refined if u in witness and v not in witness]
+    assert decode_edges(fsm, scc.trans) == {
+        (u, v) for u, v in refined if u in witness}
+
+
+# -- state-set Streett pairs: all_fair_states against repro.oracle ----------
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,17 +10,20 @@ the fair-cycle search itself must have collected.
 import pytest
 
 import repro.ctl.modelcheck as modelcheck
+import repro.debug.mcdebug as mcdebug
 import repro.lc.containment as containment
-from repro.automata.fairness import FairnessSpec, StreettPair
+from repro.automata.fairness import BuchiState, FairnessSpec, StreettPair
 from repro.bdd import BDD
 from repro.bdd.mdd import MddManager
 from repro.blifmv import flatten, parse
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.ctl import ModelChecker
+from repro.debug import CtlDebugger
 from repro.lc import check_containment
-from repro.lc.faircycle import FairGraph, all_fair_states, nontrivial_sccs
+from repro.lc.faircycle import FairGraph, all_fair_states, find_fair_scc
 from repro.models import GALLERY
 from repro.network import SymbolicFsm
+from repro.oracle.diff import run_trial
 
 # Extra formulas beyond the PIF files: the A[f U g] pair once freed the
 # E[..U..] half of their rewrite during the EG half's safe points.
@@ -94,6 +97,20 @@ def test_gallery_verdicts_survive_forced_gc(name, search_gc_runs):
         assert search_gc_runs["all_fair_states"] > 0
 
 
+@pytest.mark.parametrize("name", ["traffic", "elevator"])
+def test_reach_rings_survive_forced_gc(name):
+    """Every BFS ring stays a root while later images collect (the
+    partitioned image runs safe points of its own)."""
+    spec = GALLERY[name]()
+    rings = []
+    for config in (EngineConfig(auto_gc=1), DEFAULT_CONFIG):
+        fsm = SymbolicFsm(spec.flat(), config=config)
+        reach = fsm.reachable(partitioned=True)
+        rings.append([fsm.count_states(ring) for ring in reach.rings])
+    assert len(rings[0]) > 2
+    assert rings[0] == rings[1]
+
+
 def test_au_rewrite_keeps_its_until_part():
     spec = GALLERY["traffic"]()
     forced = SymbolicFsm(spec.flat(), config=EngineConfig(auto_gc=1))
@@ -107,11 +124,18 @@ def test_au_rewrite_keeps_its_until_part():
         assert forced.count_states(a.satisfying) == plain.count_states(b.satisfying)
 
 
-# -- SCC enumeration across several parts ---------------------------------
+def test_au_rewrite_keeps_its_left_operand():
+    """The fuzz case of seed 1152 checks EG A[s0=1 U A[s1=0 U ...]]: the
+    inner A[..U..] collects, so the outer rewrite must not build !f before
+    evaluating g (its slot was recycled and the EU fixpoint never ended)."""
+    report = run_trial(1152, config=EngineConfig(auto_gc=1))
+    assert report.divergences == []
 
-# Three SCCs in a chain, 0<->1 -> 2<->3 -> 4 (self-loop), so the
-# enumerator splits the region and all_fair_states accumulates its union
-# across several pops.
+
+# -- Streett edge deletion across several SCCs ----------------------------
+
+# Three SCCs in a chain, 0<->1 -> 2<->3 -> 4 (self-loop), so the edge
+# deletion prunes one part of the hull while the fixpoint holds the rest.
 CHAIN = """
 .model chain
 .mv s,n 5
@@ -138,17 +162,107 @@ def test_scc_chain_under_forced_gc(auto_gc):
     def decode(states):
         return {s["s"] for s in fsm.states_iter(states)}
 
-    found = [decode(scc) for scc in nontrivial_sccs(graph, graph.space, graph.trans)]
-    assert sorted(map(sorted, found)) == [["0", "1"], ["2", "3"], ["4"]]
-    s = fsm.var("s")
+    s, sn = fsm.var("s"), fsm.var("s#n")
     # Every SCC is fair once it avoids its 1/3-edges or sees a 0/2/4-edge.
     fairness = FairnessSpec(
         [StreettPair(e=s.literal(["1", "3"]), f=s.literal(["0", "2", "4"]))]
     ).normalize(fsm.bdd, fsm.bdd.true)
     fair = all_fair_states(graph, fairness, graph.space)
     assert decode(fair) == {"0", "1", "2", "3", "4"}
+    # Neither the 4->4 loop nor the 2->3 edge reaches an F-edge, so both
+    # are deleted and the hull shrinks to the 0<->1 cycle.
+    f_edge = fsm.bdd.and_(s.literal("0"), sn.literal("1"))
+    fairness = FairnessSpec([
+        StreettPair(e=s.literal("4"), f=f_edge),
+        StreettPair(e=s.literal("2"), f=f_edge),
+    ]).normalize(fsm.bdd, fsm.bdd.true)
+    scc = find_fair_scc(graph, fairness, graph.space)
+    assert scc is not None
+    assert decode(scc.states) == {"0", "1"}
+    assert decode(all_fair_states(graph, fairness, graph.space)) == {"0", "1"}
     if auto_gc:
         assert fsm.bdd.gc_count > 0
+
+
+# -- debugger lassos ------------------------------------------------------
+
+
+@pytest.fixture
+def lasso_gc_runs(monkeypatch):
+    """Collections that ran inside the debugger's fair-cycle searches."""
+    runs = []
+    original = mcdebug.find_fair_scc
+
+    def wrapper(graph, *args):
+        before = graph.bdd.gc_count
+        try:
+            return original(graph, *args)
+        finally:
+            runs.append(graph.bdd.gc_count - before)
+
+    monkeypatch.setattr(mcdebug, "find_fair_scc", wrapper)
+    return runs
+
+
+def _lassos(flat, fairness_of, cases, config):
+    """Verdict and path states of each explained ``(formula, state)``."""
+    fsm = SymbolicFsm(flat, config=config)
+    fsm.build_transition()
+    reached = fsm.reachable().reached  # before the unrooted fairness terms
+    checker = ModelChecker(fsm, fairness=fairness_of(fsm), reached=reached)
+    debugger = CtlDebugger(checker)
+    out = []
+    for formula, state in cases:
+        node = debugger.explain(formula, state=state)
+        out.append((formula, node.holds, [step.state for step in node.path]))
+    return out
+
+
+def test_rrarbiter_lassos_survive_forced_gc(lasso_gc_runs):
+    """Failing AF and AU properties of the fair gallery design get the same
+    lasso under a collection at every safe point."""
+    spec = GALLERY["rrarbiter"]()
+    cases = [("AF (turn=0 & turn=1)", None),
+             ("A[!(turn=2 & turn=3) U (turn=0 & turn=1)]", None)]
+    forced = _lassos(spec.flat(), spec.pif.bind_fairness, cases,
+                     EngineConfig(auto_gc=1))
+    assert len(lasso_gc_runs) == 2 and all(runs > 0 for runs in lasso_gc_runs)
+    plain = _lassos(spec.flat(), spec.pif.bind_fairness, cases, DEFAULT_CONFIG)
+    assert forced == plain
+    assert all(not holds and len(path) >= 4 for _f, holds, path in forced)
+
+
+# CHAIN with a free bit t, so that no state cube is also a literal or a
+# reach ring that happens to be rooted.
+FREE_BIT_CHAIN = CHAIN.replace(".latch n s", """.table t -> u
+- (0,1)
+.latch n s
+.latch u t
+.reset t
+0""")
+
+
+def test_chain_lassos_survive_forced_gc(lasso_gc_runs):
+    """The EG region of !(s=0) is no root, and the explained state is in
+    no root either.  s=1 sees no F-edge inside that region, so the edge
+    deletion cuts its E-edges to s=2 and the witness search runs on the
+    {2, 3} loop: both must stay held while it does."""
+    def fairness_of(fsm):
+        s, sn = fsm.var("s"), fsm.var("s#n")
+        e_edges = fsm.bdd.and_(s.literal("1"), sn.literal("2"))
+        f_edges = fsm.bdd.and_(s.literal("0"), sn.literal("1"))
+        return FairnessSpec([BuchiState(s.literal("2")),
+                             StreettPair(e=e_edges, f=f_edges)])
+
+    at_1 = {"s": "1", "t": "1"}
+    cases = [("AF s=0", at_1), ("A[!(s=0) U s=0]", at_1), ("EG !(s=0)", at_1)]
+    flat = flatten(parse(FREE_BIT_CHAIN))
+    forced = _lassos(flat, fairness_of, cases, EngineConfig(auto_gc=1))
+    assert len(lasso_gc_runs) == 3 and all(runs > 0 for runs in lasso_gc_runs)
+    assert forced == _lassos(flat, fairness_of, cases, DEFAULT_CONFIG)
+    for formula, holds, path in forced:
+        assert holds == formula.startswith("EG")
+        assert [state["s"] for state in path] == ["1", "2", "3"]
 
 
 # -- MvVar.literal memo --------------------------------------------------

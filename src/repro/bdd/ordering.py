@@ -31,6 +31,7 @@ evaluate.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.bdd.manager import BDD
@@ -78,11 +79,14 @@ def affinity_order(
     most-connected item.  Items never seen in any group keep their
     relative input order at the end.
 
-    Each placement scans the remaining items once and updates only the
-    placed item's neighbours, so the cost is quadratic in the number of
-    items.  Items are expected to be distinct (every caller passes
-    declared variables, latch names or positions); a repeated item is
-    placed once per occurrence but gains its attraction only once.
+    The candidates sit in a max-heap keyed by ``(attraction, weight,
+    -position)`` with lazy entries: a placement pushes a fresh entry for
+    each of the placed item's neighbours, the only items whose
+    attraction it changes, and an entry whose attraction is out of date
+    is skipped when popped.  The cost is ``O((n + e) log n)`` for ``n``
+    items and ``e`` neighbour pairs.  A repeated item is placed once
+    per occurrence; all its occurrences share one attraction, and each
+    placement of it attracts its neighbours again.
     """
     items_set = set(all_items)
     neighbours: Dict[str, Dict[str, int]] = {name: {} for name in all_items}
@@ -93,21 +97,33 @@ def affinity_order(
             for b in members:
                 if b != a:
                     near[b] = near.get(b, 0) + 1
-    weight = {name: sum(near.values()) for name, near in neighbours.items()}
+    # Per distinct item: first position and occurrences left to place.
     position: Dict[str, int] = {}
+    left: Dict[str, int] = {}
     for i, name in enumerate(all_items):
         position.setdefault(name, i)
-    attraction: Dict[str, int] = {name: 0 for name in all_items}
-    remaining = list(all_items)
+        left[name] = left.get(name, 0) + 1
+    weight = {name: sum(near.values()) for name, near in neighbours.items()}
+    attraction = dict.fromkeys(position, 0)
+    # Positions are distinct, so the name in the fourth place is never
+    # compared.  Attractions only grow: an item's one live entry is the
+    # one carrying its current attraction.
+    heap = [(0, -weight[name], i, name) for name, i in position.items()]
+    heapq.heapify(heap)
     placed: List[str] = []
-    while remaining:
-        best = max(
-            remaining, key=lambda n: (attraction[n], weight[n], -position[n])
-        )
+    while heap:
+        neg_attraction, _, _, best = heap[0]
+        if -neg_attraction != attraction[best]:
+            heapq.heappop(heap)
+            continue
         placed.append(best)
-        remaining.remove(best)
+        left[best] -= 1
+        if not left[best]:
+            heapq.heappop(heap)
         for n, shared in neighbours[best].items():
-            attraction[n] += shared
+            if left[n]:
+                attraction[n] += shared
+                heapq.heappush(heap, (-attraction[n], -weight[n], position[n], n))
     return placed
 
 

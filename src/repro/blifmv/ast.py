@@ -31,6 +31,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 BINARY_DOMAIN: Tuple[str, ...] = ("0", "1")
 
+#: Tables of at least this many rows are validated column by column
+#: (:meth:`Model._columns_valid`).  Shorter ones keep the row-major scan,
+#: which is as cheap or cheaper there: the column check costs 5-10 us a
+#: table however few rows it has (measured crossover: 8 to 16 rows).
+COLUMN_CHECK_ROWS = 16
+
 
 class BlifMvError(Exception):
     """Raised on malformed BLIF-MV input or inconsistent models."""
@@ -192,6 +198,13 @@ class Model:
         # per table, not once per entry.
         in_cols = [(var, self.domain(var), False) for var in table.inputs]
         out_cols = [(var, self.domain(var), True) for var in table.outputs]
+        if len(table.rows) >= COLUMN_CHECK_ROWS and self._columns_valid(
+            table, in_cols, out_cols
+        ):
+            return
+        # The row-major scan raises the first fault in row order (inputs
+        # before outputs, the default last), so its message is the one a
+        # reader of the table expects.
         width = len(in_cols) + len(out_cols)
         for row in table.rows:
             if len(row.inputs) != len(in_cols) or len(row.outputs) != len(out_cols):
@@ -207,6 +220,39 @@ class Model:
                     f"model {self.name}: .default width mismatch for {table.outputs}"
                 )
             self._validate_entries(table.default, out_cols, table)
+
+    def _columns_valid(
+        self,
+        table: Table,
+        in_cols: List[Tuple[str, Tuple[str, ...], bool]],
+        out_cols: List[Tuple[str, Tuple[str, ...], bool]],
+    ) -> bool:
+        """Whether the whole table passes, checking each column's distinct
+        entries once instead of every row's entries.
+
+        Tables repeat a handful of literals down each column, so one
+        ``_validate_entries`` call over those few entries replaces one
+        call per row.  It names no fault: on a fault it returns False
+        and the caller's row-major scan finds the first one.
+        """
+        ins = [row.inputs for row in table.rows]
+        outs = [row.outputs for row in table.rows]
+        if table.default is not None:
+            outs.append(table.default)
+        entries: List[PatternEntry] = []
+        columns: List[Tuple[str, Tuple[str, ...], bool]] = []
+        for patterns, cols in ((ins, in_cols), (outs, out_cols)):
+            if not set(map(len, patterns)) <= {len(cols)}:
+                return False
+            for column_entries, column in zip(zip(*patterns), cols):
+                distinct = set(column_entries)
+                entries.extend(distinct)
+                columns.extend([column] * len(distinct))
+        try:
+            self._validate_entries(tuple(entries), columns, table)
+        except BlifMvError:
+            return False
+        return True
 
     def _validate_entries(
         self,

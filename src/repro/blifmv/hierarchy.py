@@ -177,25 +177,35 @@ def _inline(
             )
         target.domains[new_name] = domain
 
+    # The root's rename is the identity (no prefix, no ports), so its
+    # rows keep their entry tuples: patterns are immutable, and only the
+    # ``=name`` entries of an instance's rows need renaming.
+    identity = not prefix and not port_map
     for table in model.tables:
+        if identity:
+            rows = [Row(inputs=row.inputs, outputs=row.outputs) for row in table.rows]
+            default = table.default
+        else:
+            rows = [
+                Row(
+                    inputs=tuple(
+                        _rename_entry(e, prefix, port_map) for e in row.inputs
+                    ),
+                    outputs=tuple(
+                        _rename_entry(e, prefix, port_map) for e in row.outputs
+                    ),
+                )
+                for row in table.rows
+            ]
+            default = None if table.default is None else tuple(
+                _rename_entry(e, prefix, port_map) for e in table.default
+            )
         target.tables.append(
             Table(
                 inputs=[_rename(v, prefix, port_map) for v in table.inputs],
                 outputs=[_rename(v, prefix, port_map) for v in table.outputs],
-                rows=[
-                    Row(
-                        inputs=tuple(
-                            _rename_entry(e, prefix, port_map) for e in row.inputs
-                        ),
-                        outputs=tuple(
-                            _rename_entry(e, prefix, port_map) for e in row.outputs
-                        ),
-                    )
-                    for row in table.rows
-                ],
-                default=None
-                if table.default is None
-                else tuple(_rename_entry(e, prefix, port_map) for e in table.default),
+                rows=rows,
+                default=default,
             )
         )
 

@@ -531,6 +531,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: Per-trial budget of ``hsis fuzz --jobs``: a worker's chunk of k trials
+#: is stopped after k times this many seconds, and its seeds are reported
+#: as ``crash`` divergences.  The slowest of 1,200 trials measured took
+#: 0.17 s (under ``--auto-reorder 20``).
+FUZZ_TRIAL_SECONDS = 10.0
+
+
 def _fuzz_main(argv: List[str]) -> int:
     """``hsis fuzz`` — run the differential fuzz sweep from the shell."""
     from repro.oracle import run_sweep
@@ -594,6 +601,7 @@ def _fuzz_main(argv: List[str]) -> int:
             opts.trials,
             seed0=opts.seed,
             jobs=opts.jobs,
+            trial_timeout=FUZZ_TRIAL_SECONDS,
             stats=stats,
             corpus_dir=opts.corpus,
             shrink=not opts.no_shrink,

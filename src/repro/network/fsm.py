@@ -259,9 +259,14 @@ class SymbolicFsm:
             # instance's private wires inside the instance first; monitor
             # conjuncts and the frontier slot are appended after the
             # network's conjuncts, so the recorded indices stay valid.
-            self._part_plan = plan_schedule(
-                supports, quantify, groups=self.network.conjunct_groups
-            )
+            with self.stats.tracer.span(
+                "quantify.plan", cat="quantify",
+                method="greedy", conjuncts=len(self.conjuncts),
+            ) as span:
+                self._part_plan = plan_schedule(
+                    supports, quantify, groups=self.network.conjunct_groups
+                )
+                span.add(steps=len(self._part_plan.steps))
             self.stats.bump("partitioned_plans_built")
             if self.stats.tracer.enabled:
                 self.stats.tracer.instant(

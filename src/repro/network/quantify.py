@@ -12,7 +12,9 @@ planners:
 * ``greedy`` (:func:`plan_schedule`) — bucket elimination by minimum
   combined support: repeatedly pick the quantifiable variable whose
   elimination touches the smallest combined support, merge exactly the
-  slots mentioning it and quantify every variable local to them.
+  slots mentioning it and quantify every variable local to them.  The
+  costs live in a heap, and a merge re-costs only the variables of the
+  merged cluster, the only costs it can change.
 * ``linear`` (:func:`plan_linear`) — multiply conjuncts in the given
   order, quantifying each variable at its last occurrence.
 * ``monolithic`` (:func:`plan_monolithic`) — multiply everything,
@@ -20,12 +22,13 @@ planners:
   kept for the ablation benchmark).
 
 A planner reads conjunct supports only and returns the schedule as plain
-data (:class:`ImageSchedule`).  One executor, :func:`execute_schedule`,
-runs every schedule against concrete BDDs: one fused ``and_exists`` per
-step, in plan order, with a GC safe point after each.  It records the
-peak intermediate size so benchmarks can compare memory behaviour, and
-every executed :class:`ScheduleStep` also emits a ``quantify.step``
-trace instant when the manager's tracer is enabled.
+data (:class:`ImageSchedule`); planning is traced as a ``quantify.plan``
+span.  One executor, :func:`execute_schedule`, runs every schedule
+against concrete BDDs: one fused ``and_exists`` per step, in plan order,
+with a GC safe point after each.  It records the peak intermediate size
+so benchmarks can compare memory behaviour, and every executed
+:class:`ScheduleStep` also emits a ``quantify.step`` trace instant when
+the manager's tracer is enabled.
 
 Because planning needs no BDD operations, a pool that runs against a
 changing frontier every iteration (partitioned reachability) is planned
@@ -34,6 +37,7 @@ once and its schedule replayed against fresh BDDs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
@@ -105,12 +109,16 @@ def multiply_and_quantify(
     if not conjuncts:
         return QuantifyResult(node=bdd.true, peak_size=1)
     supports = [c.support for c in conjuncts]
-    if method == "greedy":
-        schedule = plan_schedule(supports, quantify, groups=groups)
-    elif method == "linear":
-        schedule = plan_linear(supports, quantify)
-    else:
-        schedule = plan_monolithic(supports, quantify)
+    with bdd.tracer.span(
+        "quantify.plan", cat="quantify", method=method, conjuncts=len(conjuncts)
+    ) as span:
+        if method == "greedy":
+            schedule = plan_schedule(supports, quantify, groups=groups)
+        elif method == "linear":
+            schedule = plan_linear(supports, quantify)
+        else:
+            schedule = plan_monolithic(supports, quantify)
+        span.add(steps=len(schedule.steps))
     with bdd.tracer.span(
         "quantify", cat="quantify",
         method=method, conjuncts=len(conjuncts), variables=len(quantify),
@@ -255,6 +263,12 @@ def plan_schedule(
     slots.  On replicated designs the groups are isomorphic, so each
     instance collapses to the same small cross-instance interface and
     the global elimination never interleaves unrelated instances.
+
+    Each phase keeps its variables' costs ``(union size, slot count,
+    var)`` in a heap.  A merge changes the cost of exactly the
+    variables of the merged cluster's union, so only those are costed
+    again; the rest of the heap stays valid.  The key is a total order,
+    so the heap picks the variable a full rescan would.
     """
     table: Dict[int, FrozenSet[int]] = {
         i: frozenset(s) for i, s in enumerate(supports)
@@ -265,20 +279,15 @@ def plan_schedule(
         for v in support:
             by_var.setdefault(v, set()).add(slot)
     steps: List[PlanStep] = []
-    if groups:
-        for group in groups:
-            slots = {s for s in group if s in table}
-            if not slots:
-                continue
-            pending = {
-                v for v in quantify
-                if by_var.get(v) and by_var[v] <= slots
-            }
-            _plan_greedy_phase(
-                table, by_var, pending, steps, next_slot, allowed=slots
-            )
+    for group in groups or ():
+        slots = {s for s in group if s in table}
+        pending = {
+            v for v in quantify
+            if by_var.get(v) and by_var[v] <= slots
+        }
+        _plan_greedy_phase(table, by_var, pending, steps, next_slot)
     pending = {v for v in quantify if by_var.get(v)}
-    _plan_greedy_phase(table, by_var, pending, steps, next_slot, allowed=None)
+    _plan_greedy_phase(table, by_var, pending, steps, next_slot)
     tail = tuple(sorted(table, key=lambda slot: len(table[slot])))
     return ImageSchedule(inputs=len(supports), steps=steps, tail=tail)
 
@@ -289,32 +298,33 @@ def _plan_greedy_phase(
     pending: Set[int],
     steps: List[PlanStep],
     next_slot: List[int],
-    allowed: Optional[Set[int]],
 ) -> None:
     """One greedy elimination phase over ``pending`` variables.
 
-    Mutates the shared planner state.  ``allowed`` (group phases)
-    restricts clustering to a slot set; merge results join it, so the
-    invariant ``by_var[v] <= allowed`` holds for the phase's pending
-    variables throughout.
+    Mutates the shared planner state.  A merge takes only slots that
+    mention a pending variable, so a group phase, whose pending
+    variables only the group's slots mention, stays inside the group.
     """
-    while pending:
-        def cost(var: int) -> Tuple[int, int, int]:
-            union: Set[int] = set()
-            for slot in by_var[var]:
-                union |= table[slot]
-            return (len(union), len(by_var[var]), var)
 
-        var = min(pending, key=cost)
+    def cost(var: int) -> Tuple[int, int, int]:
+        slots = by_var[var]
+        return (len(frozenset().union(*(table[s] for s in slots))), len(slots), var)
+
+    heap = [cost(v) for v in pending]
+    heapq.heapify(heap)
+    current = {entry[2]: entry for entry in heap}
+    while pending:
+        entry = heapq.heappop(heap)
+        var = entry[2]
+        if current.get(var) != entry:
+            continue  # superseded by a later cost, or already quantified
         cluster_ids = sorted(by_var[var])
         cluster_id_set = set(cluster_ids)
+        union = frozenset().union(*(table[slot] for slot in cluster_ids))
         local = {
-            v for v in pending
-            if by_var.get(v) and by_var[v] <= cluster_id_set
+            v for v in union
+            if v in pending and by_var[v] <= cluster_id_set
         }
-        union: Set[int] = set()
-        for slot in cluster_ids:
-            union |= table[slot]
         ordered = sorted(cluster_ids, key=lambda slot: len(table[slot]))
         steps.append(
             PlanStep(
@@ -323,7 +333,7 @@ def _plan_greedy_phase(
                 result=next_slot[0],
             )
         )
-        merged = frozenset(union - local)
+        merged = union - local
         for slot in cluster_ids:
             for v in table[slot]:
                 ids = by_var[v]
@@ -334,11 +344,14 @@ def _plan_greedy_phase(
         table[next_slot[0]] = merged
         for v in merged:
             by_var.setdefault(v, set()).add(next_slot[0])
-        if allowed is not None:
-            allowed.add(next_slot[0])
         next_slot[0] += 1
         pending -= local
-        pending = {v for v in pending if by_var.get(v)}
+        for v in local:
+            del current[v]
+        for v in merged:
+            if v in pending:
+                current[v] = cost(v)
+                heapq.heappush(heap, current[v])
 
 
 def execute_schedule(

@@ -79,7 +79,7 @@ def run_sweep_parallel(
     shrink: bool = True,
     max_space: int = ORACLE_MAX_SPACE,
     progress=None,
-    timeout: Optional[float] = None,
+    trial_timeout: Optional[float] = None,
     retries: int = 1,
     pool: Optional[WorkerPool] = None,
     config: EngineConfig = DEFAULT_CONFIG,
@@ -89,9 +89,12 @@ def run_sweep_parallel(
 
     Mirrors :func:`repro.oracle.run_sweep`'s signature and report
     semantics, ``config`` and its per-field ``settings`` overrides
-    included.  ``timeout`` bounds each *chunk* (not each trial);
-    ``pool`` may inject a preconfigured :class:`WorkerPool` (tests use
-    this to tighten timeouts).
+    included.  ``trial_timeout`` is a per-trial budget in seconds: a
+    chunk of ``k`` trials must finish within ``k * trial_timeout``, so
+    one looping trial costs its chunk's seeds (reported as ``crash``
+    divergences) instead of stalling the sweep.  ``pool`` may inject a
+    preconfigured :class:`WorkerPool` (tests use this to tighten
+    timeouts).
     """
     config = replace(config, **settings)
     stats = stats if stats is not None else EngineStats()
@@ -105,14 +108,12 @@ def run_sweep_parallel(
             fn=_sweep_chunk_worker,
             args=(chunk_count, chunk_seed0, corpus_dir, shrink, max_space,
                   trace, config),
-            timeout=timeout,
+            timeout=None if trial_timeout is None else trial_timeout * chunk_count,
         )
         for chunk_seed0, chunk_count in chunks
     ]
     if pool is None:
-        pool = WorkerPool(
-            jobs, timeout=timeout, retries=retries, tracer=stats.tracer
-        )
+        pool = WorkerPool(jobs, retries=retries, tracer=stats.tracer)
     envelopes = pool.run(job_tasks)
     for (chunk_seed0, chunk_count), envelope in zip(chunks, envelopes):
         if envelope.ok:

@@ -182,6 +182,33 @@ class TestSweepFaultSurface:
             assert divergence.area == "crash"
             assert "worker" in divergence.detail
 
+    def test_looping_trial_costs_only_its_chunk(self, monkeypatch, capsys):
+        """``hsis fuzz --jobs`` gives each chunk a per-trial budget times
+        its trial count: a trial that never returns turns its own chunk's
+        seeds into ``crash`` divergences and the sweep still reports."""
+        from repro import cli
+        from repro.oracle import diff
+
+        def trial(seed, **kwargs):
+            while seed == 5:
+                time.sleep(0.01)
+            return diff.TrialReport(seed=seed, divergences=[], seconds=0.0)
+
+        monkeypatch.setattr(diff, "run_trial", trial)
+        monkeypatch.setattr(cli, "FUZZ_TRIAL_SECONDS", 0.5)
+        start = time.monotonic()
+        # 16 trials over 2 jobs run as 8 chunks of two seeds each.
+        code = cli._fuzz_main(["--trials", "16", "--seed", "0", "--jobs", "2"])
+        assert time.monotonic() - start < STALL_BUDGET_SECONDS
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "2 divergence(s) in 2 trial(s)" in out
+        crashed = [line for line in err.splitlines() if line.startswith("[crash]")]
+        assert [line.split(":")[0] for line in crashed] == [
+            "[crash] seed=4", "[crash] seed=5",
+        ]
+        assert all("1s deadline" in line for line in crashed)
+
     def test_mixed_outcome_ordering_is_stable(self):
         """Envelopes come back in submission order even when completion
         order is scrambled by failures and retries."""

@@ -52,6 +52,8 @@ def test_partitioned_schedule_planned_once(name):
     images = [e for e in tracer.events if e["name"] == "fsm.image_partitioned"]
     assert len(plans) == 1
     assert len(images) == result.iterations
+    (span,) = [e for e in tracer.events if e["name"] == "quantify.plan"]
+    assert span["args"] == dict(plans[0]["args"], method="greedy")
 
 
 def test_partition_plan_invalidated_by_pool_changes():

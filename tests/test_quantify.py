@@ -3,17 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.automata.automaton import attach
 from repro.bdd import BDD
-from repro.models import mdlc, scheduler
+from repro.models import TABLE1, get_spec, mdlc, scheduler
 from repro.network import SymbolicFsm
 from repro.network.quantify import (
     METHODS,
+    ImageSchedule,
+    PlanStep,
     make_conjuncts,
     multiply_and_quantify,
     plan_linear,
     plan_monolithic,
     plan_schedule,
 )
+from repro.pif import parse_pif
 
 N_VARS = 8
 
@@ -193,3 +197,114 @@ def test_planners_consume_and_quantify_once(supports, quantify, owners):
     ]
     for plan in plans:
         _assert_plan_sound(plan, supports, quantify)
+
+
+def rescanning_plan_schedule(supports, quantify, groups=None):
+    """The earlier formulation of :func:`plan_schedule`: every step
+    re-costs every pending variable and looks for local variables among
+    all of them.  Kept as the reference the heap-driven planner must
+    reproduce step for step."""
+    table = {i: frozenset(s) for i, s in enumerate(supports)}
+    next_slot = [len(table)]
+    by_var = {}
+    for slot, support in table.items():
+        for v in support:
+            by_var.setdefault(v, set()).add(slot)
+    steps = []
+
+    def phase(pending):
+        while pending:
+            def cost(var):
+                union = set()
+                for slot in by_var[var]:
+                    union |= table[slot]
+                return (len(union), len(by_var[var]), var)
+
+            var = min(pending, key=cost)
+            cluster_ids = sorted(by_var[var])
+            cluster_id_set = set(cluster_ids)
+            local = {
+                v for v in pending
+                if by_var.get(v) and by_var[v] <= cluster_id_set
+            }
+            union = set()
+            for slot in cluster_ids:
+                union |= table[slot]
+            ordered = sorted(cluster_ids, key=lambda slot: len(table[slot]))
+            steps.append(PlanStep(
+                merge=tuple(ordered),
+                quantify=tuple(sorted(local)),
+                result=next_slot[0],
+            ))
+            merged = frozenset(union - local)
+            for slot in cluster_ids:
+                for v in table[slot]:
+                    ids = by_var[v]
+                    ids.discard(slot)
+                    if not ids:
+                        del by_var[v]
+                del table[slot]
+            table[next_slot[0]] = merged
+            for v in merged:
+                by_var.setdefault(v, set()).add(next_slot[0])
+            next_slot[0] += 1
+            pending -= local
+            pending = {v for v in pending if by_var.get(v)}
+
+    for group in groups or ():
+        slots = {s for s in group if s in table}
+        phase({v for v in quantify if by_var.get(v) and by_var[v] <= slots})
+    phase({v for v in quantify if by_var.get(v)})
+    tail = tuple(sorted(table, key=lambda slot: len(table[slot])))
+    return ImageSchedule(inputs=len(supports), steps=steps, tail=tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 15), max_size=6), max_size=14),
+    st.sets(st.integers(0, 17), max_size=14),
+    st.lists(st.sampled_from([None, 0, 1, 2, 3]), max_size=14),
+)
+def test_greedy_plan_matches_rescanning_reference(supports, quantify, owners):
+    """Property: the heap-driven planner picks the variable a full
+    rescan picks at every step, with and without instance groups."""
+    groups = [
+        [slot for slot, owner in enumerate(owners[:len(supports)]) if owner == g]
+        for g in range(4)
+    ]
+    assert plan_schedule(supports, quantify) == rescanning_plan_schedule(
+        supports, quantify
+    )
+    assert plan_schedule(supports, quantify, groups=groups) == (
+        rescanning_plan_schedule(supports, quantify, groups=groups)
+    )
+
+
+def _assert_pools_match_reference(fsm):
+    """Both pools of ``fsm`` plan as the reference does: the
+    transition-relation pool and the partitioned-image pool (the
+    conjuncts plus a frontier slot over the state bits)."""
+    supports = [c.support for c in fsm.conjuncts]
+    groups = fsm.network.conjunct_groups
+    quantify = fsm.nonstate_bits()
+    assert plan_schedule(supports, quantify, groups=groups) == (
+        rescanning_plan_schedule(supports, quantify, groups=groups)
+    )
+    frontier = frozenset(fsm.x_bits())
+    quantify = (quantify | frontier) - set(fsm.y_bits())
+    assert fsm.partition_schedule() == rescanning_plan_schedule(
+        supports + [frontier], quantify, groups=groups
+    )
+
+
+@pytest.mark.parametrize("design", TABLE1)
+def test_table1_plans_match_rescanning_reference(design):
+    """Every Table-1 machine, and each of its LC product machines once
+    the property monitor is attached, plans as the reference does."""
+    spec = get_spec(design)
+    flat = spec.flat()
+    _assert_pools_match_reference(SymbolicFsm(flat))
+    for automaton in parse_pif(spec.pif_text).automata:
+        fsm = SymbolicFsm(flat)
+        attach(fsm, automaton)
+        _assert_pools_match_reference(fsm)

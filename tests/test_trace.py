@@ -177,6 +177,13 @@ def test_engine_pipeline_emits_expected_spans(traffic_flat):
     assert {"encode", "build_tr", "reach"} <= names
     assert "quantify.step" in names
     assert "reach.ring" in names
+    # Planning is its own span, closed before the schedule runs.
+    (plan,) = [e for e in tracer.events if e["name"] == "quantify.plan"]
+    (run,) = [e for e in tracer.events if e["name"] == "quantify"]
+    assert plan["args"]["method"] == "greedy"
+    assert plan["args"]["conjuncts"] == len(fsm.conjuncts)
+    assert plan["args"]["steps"] == len(fsm.quantify_result.steps)
+    assert plan["ts"] + plan["dur"] <= run["ts"]
     rings = [e for e in tracer.events if e["name"] == "reach.ring"]
     assert rings, "per-ring instants missing"
     for ring in rings:

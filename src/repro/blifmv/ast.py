@@ -76,9 +76,12 @@ class Eq:
 PatternEntry = Union[str, Any_, ValueSet, Eq]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Row:
-    """One table row: an input pattern and an output pattern."""
+    """One table row: an input pattern and an output pattern.
+
+    Immutable, so a flattened model shares its root model's rows.
+    """
 
     inputs: Tuple[PatternEntry, ...]
     outputs: Tuple[PatternEntry, ...]

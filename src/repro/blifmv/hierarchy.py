@@ -177,13 +177,13 @@ def _inline(
             )
         target.domains[new_name] = domain
 
-    # The root's rename is the identity (no prefix, no ports), so its
-    # rows keep their entry tuples: patterns are immutable, and only the
-    # ``=name`` entries of an instance's rows need renaming.
+    # The root's rename is the identity (no prefix, no ports), so the
+    # flat model shares its (immutable) rows; only the ``=name`` entries
+    # of an instance's rows need renaming.
     identity = not prefix and not port_map
     for table in model.tables:
         if identity:
-            rows = [Row(inputs=row.inputs, outputs=row.outputs) for row in table.rows]
+            rows = list(table.rows)
             default = table.default
         else:
             rows = [

@@ -26,16 +26,16 @@ import shlex
 import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.blifmv import elaborate, flatten, parse_file as parse_blifmv_file, write_file
+from repro.blifmv import write_file
 from repro.config import DEFAULT_CONFIG, FIELDS, EngineConfig, add_flags
 from repro.ctl import ModelChecker, parse_ctl
 from repro.debug import CtlDebugger, format_lc_report
 from repro.lc import check_containment
+from repro.models import READ_ERRORS, design_source, engine_input, read_design
 from repro.network import SymbolicFsm
 from repro.pif import PifFile, parse_pif_file
 from repro.sim import Simulator
 from repro.trace import Tracer, safe_write_trace, summary as trace_summary
-from repro.verilog import compile_verilog
 
 
 class CliError(Exception):
@@ -112,13 +112,19 @@ class HsisShell:
     def _make_fsm(self, flat) -> SymbolicFsm:
         return SymbolicFsm(flat, config=self.config, tracer=self.tracer)
 
-    def _after_load(self) -> str:
-        assert self.design is not None
-        self.flat = flatten(self.design)
-        self.fsm = self._make_fsm(self.flat)
+    def _install(self, flat) -> None:
+        """Make ``flat`` the model every later command works on."""
+        self.flat = flat
+        self.fsm = self._make_fsm(flat)
         self.reach = None
         self.simulator = None
         self.checker = None
+
+    def _load(self, path: str, form: str, root: Optional[str] = None) -> str:
+        _, self.design, _ = read_design(path, form=form, root=root)
+        # The shell's commands (lc, coi, delay, refine) work on the flat
+        # model, so it reads under the default (flattening) settings.
+        self._install(engine_input(self.design))
         elapsed = self.fsm.stats.phase_seconds("encode")
         return (
             f"loaded {self.design.root}: {len(self.flat.latches)} latches, "
@@ -129,18 +135,13 @@ class HsisShell:
         """read_blif_mv <file> — load a BLIF-MV design."""
         if len(args) != 1:
             raise CliError("usage: read_blif_mv <file>")
-        self.design = parse_blifmv_file(args[0])
-        return self._after_load()
+        return self._load(args[0], "blifmv")
 
     def cmd_read_verilog(self, args: List[str]) -> str:
         """read_verilog <file> [root] — compile Verilog via vl2mv and load."""
         if len(args) not in (1, 2):
             raise CliError("usage: read_verilog <file> [root-module]")
-        with open(args[0]) as handle:
-            self.design = compile_verilog(
-                handle.read(), root=args[1] if len(args) == 2 else None
-            )
-        return self._after_load()
+        return self._load(args[0], "verilog", *args[1:])
 
     def cmd_read_pif(self, args: List[str]) -> str:
         """read_pif <file> — load properties and fairness constraints."""
@@ -244,24 +245,18 @@ class HsisShell:
             if self.pif is None or not self.pif.ctl_props:
                 raise CliError("no CTL properties loaded; read_pif or pass a formula")
             jobs = list(self.pif.ctl_props)
-        if workers > 1 and len(jobs) > 1:
-            from repro.parallel import check_properties
+        from repro.parallel.check import check_each, check_properties
 
+        if workers > 1 and len(jobs) > 1:
             self._need_fsm()  # same preconditions as the serial path
+            fairness = self.pif.fairness if self.pif is not None else ()
             verdicts = check_properties(
-                self.flat,
-                jobs,
-                self.pif.fairness if self.pif is not None else (),
-                jobs=workers,
-            )
-            return "\n".join(v.format() for v in verdicts)
-        checker = self._make_checker()
-        out = []
-        for name, formula in jobs:
-            result = checker.check(formula)
-            verdict = "passed" if result.holds else "FAILED"
-            out.append(f"mc {name}: {verdict} ({result.seconds:.2f}s)  [{formula}]")
-        return "\n".join(out)
+                self.flat, jobs, fairness, jobs=workers, config=self.config)
+        else:
+            verdicts = check_each(self._make_checker(), jobs)
+        return "\n".join(
+            v.format() + (f"\n  {v.reason}" if v.error else "") for v in verdicts
+        )
 
     def cmd_lc(self, args: List[str]) -> str:
         """lc [name...] — language containment for PIF automata."""
@@ -356,11 +351,7 @@ class HsisShell:
         if self.flat is None:
             raise CliError("no design loaded")
         reduced, report = cone_of_influence(self.flat, args)
-        self.flat = reduced
-        self.fsm = self._make_fsm(reduced)
-        self.reach = None
-        self.checker = None
-        self.simulator = None
+        self._install(reduced)
         return (
             f"cone of influence: kept {len(report.kept_latches)} latches "
             f"({report.kept_tables} tables), dropped "
@@ -377,11 +368,7 @@ class HsisShell:
         if self.flat is None:
             raise CliError("no design loaded")
         bound = DelayBound(int(args[1]), int(args[2]))
-        self.flat = elaborate_delays(self.flat, {args[0]: bound})
-        self.fsm = self._make_fsm(self.flat)
-        self.reach = None
-        self.checker = None
-        self.simulator = None
+        self._install(elaborate_delays(self.flat, {args[0]: bound}))
         return (
             f"latch {args[0]!r} delayed by [{bound.low}, {bound.high}] ticks "
             f"({len(self.flat.latches)} latches total)"
@@ -412,12 +399,8 @@ class HsisShell:
             raise CliError("usage: refine <spec-file> <observable...>")
         if self.flat is None:
             raise CliError("no design loaded")
-        path = args[0]
-        if path.endswith(".v"):
-            with open(path) as handle:
-                spec = flatten(compile_verilog(handle.read()))
-        else:
-            spec = flatten(parse_blifmv_file(path))
+        _, design, _ = read_design(args[0])
+        spec = engine_input(design)
         result = check_refinement(self.flat, spec, args[1:])
         if result.holds:
             return (
@@ -522,6 +505,30 @@ def _write_trace_file(tracer: Optional[Tracer], path: Optional[str]) -> bool:
         return False
     print(f"trace: wrote {len(tracer)} events to {path} ({fmt})")
     return True
+
+
+def _read_inputs(design_ref: str, pif_path: Optional[str],
+                 config: EngineConfig):
+    """``(name, engine input, PIF)`` for a design reference, the PIF
+    being the ``pif_path`` file or else a shipped design's own.
+    Unreadable input prints one ``error:`` line and returns None."""
+    try:
+        name, design, pif = read_design(design_ref)
+        model = engine_input(design, config)
+        if pif_path is not None:
+            pif = parse_pif_file(pif_path)
+    except READ_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return name, model, pif
+
+
+def _print_verdicts(verdicts) -> None:
+    """One line per verdict; a failed check's reason goes to stderr."""
+    for verdict in verdicts:
+        print(verdict.format())
+        if verdict.error:
+            print(f"  {verdict.reason}", file=sys.stderr)
 
 
 def _positive_int(text: str) -> int:
@@ -638,7 +645,10 @@ def _check_main(argv: List[str]) -> int:
             "processes with --jobs."
         ),
     )
-    parser.add_argument("design", help="BLIF-MV (.mv) or Verilog (.v) design")
+    parser.add_argument(
+        "design",
+        help="a .mv/.v file, or a shipped benchmark (e.g. gallery:traffic)",
+    )
     parser.add_argument("pif", help="PIF file with the CTL properties")
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
@@ -673,18 +683,10 @@ def _check_main(argv: List[str]) -> int:
     )
     opts = parser.parse_args(argv)
     config = EngineConfig.of(vars(opts))
-    try:
-        if opts.design.endswith(".v"):
-            with open(opts.design) as handle:
-                design = compile_verilog(handle.read())
-        else:
-            design = parse_blifmv_file(opts.design)
-        elab = elaborate(design)
-        flat = elab.flat
-        pif = parse_pif_file(opts.pif)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    inputs = _read_inputs(opts.design, opts.pif, config)
+    if inputs is None:
         return 2
+    _, model, pif = inputs
     if not pif.ctl_props:
         print("error: no CTL properties in the PIF file", file=sys.stderr)
         return 2
@@ -695,13 +697,14 @@ def _check_main(argv: List[str]) -> int:
         from repro.ordering_portfolio import DEFAULT_ORDERS_DIR, run_portfolio_check
 
         verdicts, provenance = run_portfolio_check(
-            flat,
+            model,
             pif.ctl_props,
             pif.fairness,
             k=config.portfolio,
             orders_dir=opts.orders_dir or DEFAULT_ORDERS_DIR,
             stats=stats,
             timeout=opts.timeout,
+            config=config,
         )
         print(
             f"portfolio: {provenance['source']} "
@@ -709,20 +712,16 @@ def _check_main(argv: List[str]) -> int:
             f"{provenance['candidates']} candidate(s))"
         )
     else:
-        # The ordering portfolio extracts features from the flat model;
-        # --portfolio therefore keeps the plain-flatten path above.
         verdicts = check_properties(
-            elab if config.shared_shapes else flat,
+            model,
             pif.ctl_props,
             pif.fairness,
             jobs=opts.jobs,
             stats=stats,
             timeout=opts.timeout,
+            config=config,
         )
-    for verdict in verdicts:
-        print(verdict.format())
-        if verdict.error:
-            print(f"  {verdict.error.strip().splitlines()[-1]}", file=sys.stderr)
+    _print_verdicts(verdicts)
     passed = sum(1 for v in verdicts if v.holds is True)
     failed = sum(1 for v in verdicts if v.holds is False)
     errors = sum(1 for v in verdicts if v.holds is None)
@@ -739,12 +738,7 @@ def _check_main(argv: List[str]) -> int:
             opts.results,
             {
                 "properties": [
-                    {
-                        "name": v.name,
-                        "formula": v.formula,
-                        "holds": v.holds,
-                        "status": v.status,
-                    }
+                    v.to_wire(("name", "formula", "holds", "status"))
                     for v in verdicts
                 ],
                 "passed": passed,
@@ -758,35 +752,10 @@ def _check_main(argv: List[str]) -> int:
     return 0 if passed == len(verdicts) and trace_ok else 1
 
 
-def _load_profile_design(target: str, pif_path: Optional[str],
-                         shared_shapes: bool = False):
-    """Resolve a ``profile`` target to ``(name, flat model, pif)``.
-
-    ``gallery:NAME`` (or any bare shipped-design name) loads one of the
-    built-in benchmarks with its bundled properties; a ``.mv``/``.v``
-    path loads a design from disk with an optional ``--pif`` file.
-    With ``shared_shapes`` the model slot holds an
-    :class:`~repro.blifmv.Elaboration` (shared-shape encoding).
-    """
-    from repro.models import get_spec
-
-    name = target[len("gallery:"):] if target.startswith("gallery:") else target
-    if not (target.endswith(".mv") or target.endswith(".v")):
-        spec = get_spec(name)
-        model = spec.elaborate() if shared_shapes else spec.flat()
-        return spec.name, model, spec.pif
-    if target.endswith(".v"):
-        with open(target) as handle:
-            design = compile_verilog(handle.read())
-    else:
-        design = parse_blifmv_file(target)
-    pif = parse_pif_file(pif_path) if pif_path else None
-    model = elaborate(design) if shared_shapes else flatten(design)
-    return design.root, model, pif
-
-
 def _profile_main(argv: List[str]) -> int:
     """``hsis profile`` — run the pipeline under a tracer and report."""
+    from repro.parallel.check import profile_model
+
     parser = argparse.ArgumentParser(
         prog="hsis profile",
         description=(
@@ -802,8 +771,7 @@ def _profile_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--pif", default=None, metavar="FILE",
-        help="PIF properties to check (file designs only; gallery designs "
-             "bring their own)",
+        help="PIF properties to check (default: a gallery design's own)",
     )
     parser.add_argument(
         "--method", default="greedy", metavar="M",
@@ -824,18 +792,15 @@ def _profile_main(argv: List[str]) -> int:
     )
     opts = parser.parse_args(argv)
     config = EngineConfig.of(vars(opts))
-    try:
-        name, flat, pif = _load_profile_design(
-            opts.design, opts.pif, shared_shapes=config.shared_shapes
-        )
-    except (OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    inputs = _read_inputs(opts.design, opts.pif, config)
+    if inputs is None:
         return 2
+    name, model, pif = inputs
     tracer = Tracer()
-    fsm = SymbolicFsm(flat, config=config, tracer=tracer)
-    if not opts.partitioned:
-        fsm.build_transition(method=opts.method)
-    reach = fsm.reachable(partitioned=opts.partitioned)
+    fsm, reach, verdicts = profile_model(
+        model, None if opts.no_mc else pif, method=opts.method,
+        partitioned=opts.partitioned, config=config, tracer=tracer,
+    )
     print(
         f"profile {name}: {fsm.count_states(reach.reached)} states reached "
         f"in {reach.iterations} iterations ({reach.seconds:.2f}s)"
@@ -845,17 +810,11 @@ def _profile_main(argv: List[str]) -> int:
             f"shapes: {fsm.network.shapes_encoded} encoded, "
             f"{fsm.network.instances_substituted} instance(s) substituted"
         )
-    if pif is not None and pif.ctl_props and not opts.no_mc:
-        checker = ModelChecker(
-            fsm, fairness=pif.bind_fairness(fsm), reached=reach.reached
-        )
-        for prop_name, formula in pif.ctl_props:
-            result = checker.check(formula)
-            verdict = "passed" if result.holds else "FAILED"
-            print(f"mc {prop_name}: {verdict} ({result.seconds:.2f}s)")
+    _print_verdicts(verdicts)
     print(trace_summary(tracer, title=f"trace summary ({name})"))
     print(fsm.stats.format())
-    return 0 if _write_trace_file(tracer, opts.trace) else 1
+    trace_ok = _write_trace_file(tracer, opts.trace)
+    return 0 if trace_ok and all(v.ok for v in verdicts) else 1
 
 
 def _serve_main(argv: List[str]) -> int:
@@ -966,16 +925,12 @@ def _serve_main(argv: List[str]) -> int:
 
 
 def _client_design_arg(target: str):
-    """CLI design reference -> protocol design object (+ optional pif)."""
-    if target.startswith("gallery:"):
-        return {"gallery": target[len("gallery:"):]}
-    if target.endswith(".v"):
-        with open(target) as handle:
-            return {"verilog": handle.read()}
-    if target.endswith(".mv"):
-        with open(target) as handle:
-            return {"blifmv": handle.read()}
-    return {"gallery": target}
+    """CLI design reference -> protocol design object."""
+    form, target = design_source(target)
+    if form == "gallery":
+        return {"gallery": target}
+    with open(target) as handle:
+        return {form: handle.read()}
 
 
 def _client_main(argv: List[str]) -> int:

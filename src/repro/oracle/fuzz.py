@@ -567,7 +567,7 @@ def _case_mutations(case: dict) -> Iterator[Callable[[dict], None]]:
                         else model.domain(table.inputs[col])[0]
                     )
                     yield lambda c, ti=ti, ri=ri, col=col, v=value: _set_row_entry(
-                        c["model"].tables[ti].rows[ri], col, v, output=False
+                        c["model"].tables[ti], ri, col, v, output=False
                     )
             for col, entry in enumerate(row.outputs):
                 if isinstance(entry, (Any_, ValueSet, Eq)):
@@ -577,7 +577,7 @@ def _case_mutations(case: dict) -> Iterator[Callable[[dict], None]]:
                         else model.domain(table.outputs[col])[0]
                     )
                     yield lambda c, ti=ti, ri=ri, col=col, v=value: _set_row_entry(
-                        c["model"].tables[ti].rows[ri], col, v, output=True
+                        c["model"].tables[ti], ri, col, v, output=True
                     )
     for li, latch in enumerate(model.latches):
         if len(latch.reset) > 1:
@@ -590,11 +590,15 @@ def _case_mutations(case: dict) -> Iterator[Callable[[dict], None]]:
             yield lambda c, i=i: c["automaton"]["rabin"].pop(i)
 
 
-def _set_row_entry(row: Row, col: int, value: str, output: bool) -> None:
+def _set_row_entry(table: Table, ri: int, col: int, value: str,
+                   output: bool) -> None:
+    """Replace row ``ri`` by a copy with one entry set (rows are frozen)."""
+    row = table.rows[ri]
     if output:
-        row.outputs = row.outputs[:col] + (value,) + row.outputs[col + 1:]
+        row = Row(row.inputs, row.outputs[:col] + (value,) + row.outputs[col + 1:])
     else:
-        row.inputs = row.inputs[:col] + (value,) + row.inputs[col + 1:]
+        row = Row(row.inputs[:col] + (value,) + row.inputs[col + 1:], row.outputs)
+    table.rows[ri] = row
 
 
 def shrink_case(

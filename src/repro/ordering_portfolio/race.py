@@ -25,10 +25,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.blifmv.ast import Model
+from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.ordering_portfolio.cache import DEFAULT_ORDERS_DIR, OrderCache
 from repro.ordering_portfolio.features import design_digest
 from repro.ordering_portfolio.heuristics import candidate_orders
-from repro.parallel.check import PropertyVerdict, check_properties
+from repro.parallel.check import PropertyVerdict, check_properties, require_ok
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import STATUS_OK, ResultEnvelope, Task, TaskResult
 from repro.perf import EngineStats
@@ -59,46 +60,36 @@ def portfolio_order_for(
     return name, order
 
 
-def _race_worker(model, properties, fairness_decls, order) -> TaskResult:
+def _race_worker(model, properties, fairness_decls, order, **settings) -> TaskResult:
     """Pool task body: the whole property list under one candidate order.
 
-    Raises when any property errors, so a candidate that cannot finish
-    cleanly loses the race instead of publishing partial verdicts.
+    ``settings`` are the caller's engine settings that differ from the
+    defaults (:meth:`EngineConfig.overrides`).  Raises when any property
+    errors, so a candidate that cannot finish cleanly loses the race
+    instead of publishing partial verdicts.
     """
     stats = EngineStats()
     verdicts = check_properties(
-        model, list(properties), fairness_decls, jobs=1, stats=stats,
-        order=list(order),
+        model, properties, fairness_decls, stats=stats, order=order,
+        config=EngineConfig(**settings),
     )
-    for verdict in verdicts:
-        if not verdict.ok:
-            raise RuntimeError(
-                f"property {verdict.name} failed under candidate order: "
-                f"{verdict.error or verdict.status}"
-            )
-    payload = [
-        {
-            "name": v.name,
-            "formula": v.formula,
-            "holds": v.holds,
-            "seconds": v.seconds,
-        }
-        for v in verdicts
-    ]
-    return TaskResult({"verdicts": payload}, stats)
+    require_ok(verdicts)
+    return TaskResult(verdicts, stats)
 
 
-def _verdicts_from_payload(payload: List[Dict]) -> List[PropertyVerdict]:
-    return [
-        PropertyVerdict(
-            name=entry["name"],
-            formula=entry["formula"],
-            holds=entry["holds"],
-            seconds=entry["seconds"],
-            status=STATUS_OK,
-        )
-        for entry in payload
-    ]
+def _provenance(stats: EngineStats, source: str, heuristic: str,
+                candidates: int = 0, margin: Optional[float] = None):
+    """Record where a portfolio check's verdicts came from, in ``stats``
+    and as the returned provenance dict."""
+    stats.meta["portfolio_source"] = source
+    stats.meta["portfolio_heuristic"] = heuristic
+    return {
+        "source": source,
+        "heuristic": heuristic,
+        "cache_hit": source == "cache",
+        "candidates": candidates,
+        "margin_seconds": margin,
+    }
 
 
 def run_portfolio_check(
@@ -111,16 +102,20 @@ def run_portfolio_check(
     stats: Optional[EngineStats] = None,
     timeout: Optional[float] = None,
     on_pool: Optional[Callable[[WorkerPool], None]] = None,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> Tuple[List[PropertyVerdict], Dict[str, object]]:
     """Check ``properties`` with a portfolio of ``k`` candidate orders.
 
     Warm path: the order cache holds a verified winner for this design
-    digest — run serially in-process under that order, no race.  Cold
-    path: race the candidates, cancel losers on the first success,
-    persist the winner.  Either way the verdicts are exactly the serial
-    ones.  Returns ``(verdicts, provenance)`` where provenance records
-    the source (``cache`` / ``race`` / ``fallback``), winning heuristic,
-    candidate count and race margin; the same facts land in ``stats``
+    digest — check under that order, no race.  Cold path: race the
+    candidates, cancel losers on the first success, persist the winner.
+    Either way the verdicts are exactly the serial ones, and every
+    machine is built under ``config``; ``timeout`` is each candidate's
+    deadline and each property's on the warm and fallback paths
+    (:func:`~repro.parallel.check.check_properties`).  Returns
+    ``(verdicts, provenance)`` where provenance records the source
+    (``cache`` / ``race`` / ``fallback``), winning heuristic, candidate
+    count and race margin; the same facts land in ``stats``
     counters/meta and as tracer instants.
 
     ``on_pool`` (if given) receives the race's :class:`WorkerPool`
@@ -136,24 +131,15 @@ def run_portfolio_check(
     entry = cache.load(digest, declared)
     if entry is not None:
         stats.bump("portfolio_cache_hits")
-        stats.meta["portfolio_source"] = "cache"
-        stats.meta["portfolio_heuristic"] = entry["heuristic"]
         stats.tracer.instant(
             "portfolio.cache_hit", cat="portfolio",
             design=digest[:12], heuristic=entry["heuristic"],
         )
         verdicts = check_properties(
-            model, properties, fairness_decls, jobs=1, stats=stats,
-            order=entry["order"],
+            model, properties, fairness_decls, stats=stats, timeout=timeout,
+            order=entry["order"], config=config,
         )
-        provenance = {
-            "source": "cache",
-            "heuristic": entry["heuristic"],
-            "cache_hit": True,
-            "candidates": 0,
-            "margin_seconds": None,
-        }
-        return verdicts, provenance
+        return verdicts, _provenance(stats, "cache", entry["heuristic"])
 
     stats.bump("portfolio_cache_misses")
     candidates = candidate_orders(model, k)
@@ -167,6 +153,7 @@ def run_portfolio_check(
             task_id=f"order[{name}]",
             fn=_race_worker,
             args=(model, tuple(properties), tuple(fairness_decls), order),
+            kwargs=config.overrides(),
             timeout=timeout,
         )
         for name, order in candidates
@@ -187,12 +174,8 @@ def run_portfolio_check(
     envelopes = pool.run(tasks, progress=first_success)
     stats.bump("portfolio_races")
 
-    winner_index: Optional[int] = None
-    if winner_ids:
-        for index, task in enumerate(tasks):
-            if task.task_id == winner_ids[0]:
-                winner_index = index
-                break
+    task_ids = [task.task_id for task in tasks]
+    winner_index = task_ids.index(winner_ids[0]) if winner_ids else None
 
     if winner_index is None and pool.cancelled:
         # No winner *and* a cancelled pool means someone outside killed
@@ -205,52 +188,28 @@ def run_portfolio_check(
         # serial check under the seed order so a broken race can never
         # change availability, only speed.
         stats.bump("portfolio_race_failures")
-        stats.meta["portfolio_source"] = "fallback"
-        stats.meta["portfolio_heuristic"] = candidates[0][0]
         stats.tracer.instant(
             "portfolio.fallback", cat="portfolio", design=digest[:12],
         )
         verdicts = check_properties(
-            model, properties, fairness_decls, jobs=1, stats=stats,
-            order=candidates[0][1],
+            model, properties, fairness_decls, stats=stats, timeout=timeout,
+            order=candidates[0][1], config=config,
         )
-        provenance = {
-            "source": "fallback",
-            "heuristic": candidates[0][0],
-            "cache_hit": False,
-            "candidates": len(candidates),
-            "margin_seconds": None,
-        }
-        return verdicts, provenance
+        return verdicts, _provenance(
+            stats, "fallback", candidates[0][0], len(candidates))
 
     winner_name, winner_order = candidates[winner_index]
     winner = envelopes[winner_index]
-    if stats is not None and winner.stats is not None:
+    if winner.stats is not None:
         stats.merge(winner.stats)
-    loser_seconds = [
-        e.seconds
-        for i, e in enumerate(envelopes)
-        if i != winner_index and e.seconds > 0.0
-    ]
-    margin = (
-        max(0.0, min(loser_seconds) - winner.seconds)
-        if loser_seconds
-        else 0.0
-    )
+    loser_seconds = [e.seconds for i, e in enumerate(envelopes)
+                     if i != winner_index and e.seconds > 0.0]
+    margin = max(0.0, min(loser_seconds, default=winner.seconds) - winner.seconds)
     cache.store(digest, winner_name, winner_order, margin_seconds=margin)
-    stats.meta["portfolio_source"] = "race"
-    stats.meta["portfolio_heuristic"] = winner_name
     stats.tracer.instant(
         "portfolio.winner", cat="portfolio",
         design=digest[:12], heuristic=winner_name,
         margin_seconds=round(margin, 6), candidates=len(candidates),
     )
-    verdicts = _verdicts_from_payload(winner.value["verdicts"])
-    provenance = {
-        "source": "race",
-        "heuristic": winner_name,
-        "cache_hit": False,
-        "candidates": len(candidates),
-        "margin_seconds": margin,
-    }
-    return verdicts, provenance
+    return winner.value, _provenance(
+        stats, "race", winner_name, len(candidates), margin)

@@ -5,9 +5,12 @@ a :class:`~repro.parallel.pool.WorkerPool` worker process — the same
 crash isolation the CLI's ``--jobs`` fan-out uses, so a job that
 segfaults, overruns its deadline, or blows its memory quota is reaped
 by the pool and surfaced as an explicit envelope, never a wedged
-server.  The bodies run exactly the serial engine code the one-shot
-CLI runs (``hsis check`` / ``hsis fuzz`` / ``hsis profile``), which is
-what makes the served-vs-serial verdict parity tests meaningful.
+server.  Each body keeps only its argument handling and payload: it
+reads the submission through the one design reader (:mod:`repro.models`)
+and runs the function the one-shot CLI runs (``check_properties``,
+``run_portfolio_check``, ``profile_model``, ``run_sweep``), which is
+what makes the served-vs-serial parity tests meaningful.  A property
+that errors fails its job, so no failure reaches the result cache.
 
 Workers report a :class:`~repro.parallel.tasks.TaskResult` whose value
 is a plain JSON-serializable dict (it goes straight onto the wire and
@@ -26,24 +29,26 @@ from repro.perf import EngineStats
 from repro.trace.tracer import Tracer
 
 
-def _parse_design(design_kind: str, design_text: str,
-                  shared_shapes: bool = False):
-    """Resolved design text -> flat model (verilog via vl2mv, or mv).
+def _read_submission(design_kind: str, design_text: str,
+                     pif_text: Optional[str], config: EngineConfig,
+                     check: bool = False):
+    """The submitted design as the engine's input and its PIF (None
+    without text; a ``check`` needs CTL properties)."""
+    from repro.models import engine_input, read_design
+    from repro.pif import parse_pif
 
-    With ``shared_shapes`` the result is an
-    :class:`~repro.blifmv.Elaboration` (shape-aware encoding; the
-    engine accepts either form).
-    """
-    from repro.blifmv import elaborate, flatten, parse as parse_blifmv
-    from repro.verilog import compile_verilog
+    _, design, _ = read_design((design_kind, design_text))
+    pif = parse_pif(pif_text, source="<submission>") if pif_text else None
+    if check and (pif is None or not pif.ctl_props):
+        raise ValueError("no CTL properties in the submitted PIF text")
+    return engine_input(design, config), pif
 
-    if design_kind == "verilog":
-        design = compile_verilog(design_text)
-    else:
-        design = parse_blifmv(design_text)
-    if shared_shapes:
-        return elaborate(design)
-    return flatten(design)
+
+def _job_stats(trace: bool) -> EngineStats:
+    stats = EngineStats()
+    if trace:
+        stats.tracer = Tracer()
+    return stats
 
 
 def _detach(stats: EngineStats) -> EngineStats:
@@ -53,6 +58,24 @@ def _detach(stats: EngineStats) -> EngineStats:
     return detached
 
 
+def _check_result(verdicts, stats: EngineStats, **extra: Any) -> TaskResult:
+    """A check job's payload.  A property that errored fails the whole
+    job instead, so no failure reaches the result cache."""
+    from repro.parallel.check import require_ok
+
+    require_ok(verdicts)
+    stats.bump("serve.properties", len(verdicts))
+    return TaskResult(
+        {
+            "verdicts": [v.to_wire() for v in verdicts],
+            "properties": len(verdicts),
+            "passed": sum(1 for v in verdicts if v.holds),
+            **extra,
+        },
+        stats,
+    )
+
+
 def run_check_job(
     design_kind: str,
     design_text: str,
@@ -60,40 +83,17 @@ def run_check_job(
     knobs: Dict[str, Any],
     trace: bool = False,
 ) -> TaskResult:
-    """Model check every CTL property of the submission, serially."""
-    from repro.ctl import ModelChecker
-    from repro.network import SymbolicFsm
-    from repro.pif import parse_pif
+    """Model check every CTL property of the submission on one machine."""
+    from repro.parallel.check import check_properties
 
     config = EngineConfig.of(knobs)
-    flat = _parse_design(design_kind, design_text, config.shared_shapes)
-    pif = parse_pif(pif_text or "", source="<submission>")
-    if not pif.ctl_props:
-        raise ValueError("no CTL properties in the submitted PIF text")
-    fsm = SymbolicFsm(
-        flat, config=config, tracer=Tracer() if trace else None,
+    model, pif = _read_submission(
+        design_kind, design_text, pif_text, config, check=True)
+    stats = _job_stats(trace)
+    verdicts = check_properties(
+        model, pif.ctl_props, pif.fairness, stats=stats, config=config,
     )
-    checker = ModelChecker(fsm, fairness=pif.bind_fairness(fsm))
-    verdicts = []
-    for name, formula in pif.ctl_props:
-        result = checker.check(formula)
-        verdicts.append(
-            {
-                "name": name,
-                "formula": str(formula),
-                "holds": result.holds,
-                "seconds": result.seconds,
-            }
-        )
-    fsm.stats.bump("serve.properties", len(verdicts))
-    return TaskResult(
-        {
-            "verdicts": verdicts,
-            "properties": len(verdicts),
-            "passed": sum(1 for v in verdicts if v["holds"]),
-        },
-        _detach(fsm.stats),
-    )
+    return _check_result(verdicts, stats)
 
 
 def run_portfolio_job(
@@ -117,53 +117,30 @@ def run_portfolio_job(
     check job gets from its single worker.
     """
     from repro.ordering_portfolio import DEFAULT_ORDERS_DIR, run_portfolio_check
-    from repro.pif import parse_pif
 
-    flat = _parse_design(design_kind, design_text)
-    pif = parse_pif(pif_text or "", source="<submission>")
-    if not pif.ctl_props:
-        raise ValueError("no CTL properties in the submitted PIF text")
-    stats = EngineStats()
-    if trace:
-        stats.tracer = Tracer()
+    config = EngineConfig.of(knobs)
+    model, pif = _read_submission(
+        design_kind, design_text, pif_text, config, check=True)
+    stats = _job_stats(trace)
     verdicts, provenance = run_portfolio_check(
-        flat,
+        model,
         pif.ctl_props,
         pif.fairness,
-        k=EngineConfig.of(knobs).portfolio,
+        k=config.portfolio,
         orders_dir=orders_dir or DEFAULT_ORDERS_DIR,
         stats=stats,
         timeout=timeout,
         on_pool=on_pool,
+        config=config,
     )
-    payload = [
-        {
-            "name": v.name,
-            "formula": v.formula,
-            "holds": v.holds,
-            "seconds": v.seconds,
-        }
-        for v in verdicts
-    ]
-    stats.bump("serve.properties", len(payload))
-    return TaskResult(
-        {
-            "verdicts": payload,
-            "properties": len(payload),
-            "passed": sum(1 for v in payload if v["holds"]),
-            "portfolio": provenance,
-        },
-        _detach(stats),
-    )
+    return _check_result(verdicts, stats, portfolio=provenance)
 
 
 def run_fuzz_job(knobs: Dict[str, Any], trace: bool = False) -> TaskResult:
     """One differential sweep (serial; the job itself is the shard)."""
     from repro.oracle import run_sweep
 
-    stats = EngineStats()
-    if trace:
-        stats.tracer = Tracer()
+    stats = _job_stats(trace)
     sweep = run_sweep(
         knobs["trials"],
         seed0=knobs["seed"],
@@ -193,37 +170,23 @@ def run_profile_job(
     trace: bool = False,
 ) -> TaskResult:
     """Encode -> build_tr -> reach (-> mc) with phase timings reported."""
-    from repro.ctl import ModelChecker
-    from repro.network import SymbolicFsm
-    from repro.pif import parse_pif
+    from repro.parallel.check import profile_model, require_ok
 
     config = EngineConfig.of(knobs)
-    flat = _parse_design(design_kind, design_text, config.shared_shapes)
-    fsm = SymbolicFsm(
-        flat, config=config, tracer=Tracer() if trace else None,
+    model, pif = _read_submission(design_kind, design_text, pif_text, config)
+    fsm, reach, verdicts = profile_model(
+        model, pif, method=knobs["method"], partitioned=knobs["partitioned"],
+        config=config, tracer=Tracer() if trace else None,
     )
-    if not knobs["partitioned"]:
-        fsm.build_transition(method=knobs["method"])
-    reach = fsm.reachable(partitioned=knobs["partitioned"])
-    verdicts = []
-    if pif_text:
-        pif = parse_pif(pif_text, source="<submission>")
-        if pif.ctl_props:
-            checker = ModelChecker(
-                fsm, fairness=pif.bind_fairness(fsm), reached=reach.reached
-            )
-            for name, formula in pif.ctl_props:
-                result = checker.check(formula)
-                verdicts.append(
-                    {"name": name, "holds": result.holds,
-                     "seconds": result.seconds}
-                )
+    require_ok(verdicts)
     return TaskResult(
         {
             "states": int(fsm.count_states(reach.reached)),
             "iterations": reach.iterations,
             "seconds": reach.seconds,
-            "verdicts": verdicts,
+            "verdicts": [
+                v.to_wire(("name", "holds", "seconds")) for v in verdicts
+            ],
             "phases": {
                 name: round(stat.seconds, 6)
                 for name, stat in fsm.stats.phases.items()

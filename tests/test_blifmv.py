@@ -285,6 +285,15 @@ class TestWriter:
 
 
 class TestFlatten:
+    def test_root_rows_are_shared_not_copied(self):
+        design = parse(COUNTER)
+        root, flat = design.root_model(), flatten(design)
+        assert flat.tables[0].rows is not root.tables[0].rows
+        assert all(a is b for a, b in zip(flat.tables[0].rows,
+                                          root.tables[0].rows))
+        with pytest.raises(AttributeError):
+            flat.tables[0].rows[0].inputs = ("1",)  # frozen
+
     def test_two_levels(self):
         design = parse("""
 .model top

@@ -147,3 +147,16 @@ class TestShrinking:
         keep = lambda c: len(c["fairness"]) == len(case["fairness"])
         shrunk = shrink_case(case, keep)
         assert len(shrunk["fairness"]) == len(case["fairness"])
+
+    def test_row_entry_mutation_replaces_the_row(self):
+        """Rows are frozen (a flat model shares its design's rows), so an
+        entry mutation puts a new row in the table, leaving the old one."""
+        from repro.blifmv import ANY, Row, Table
+        from repro.oracle.fuzz import _set_row_entry
+
+        shared = Row(inputs=(ANY, "1"), outputs=(ANY,))
+        table = Table(inputs=["a", "b"], outputs=["c"], rows=[shared])
+        _set_row_entry(table, 0, 0, "0", output=False)
+        _set_row_entry(table, 0, 0, "1", output=True)
+        assert table.rows == [Row(inputs=("0", "1"), outputs=("1",))]
+        assert shared == Row(inputs=(ANY, "1"), outputs=(ANY,))

@@ -92,8 +92,8 @@ class NormalizedFairness:
     def nodes(self):
         """Iterate every BDD node referenced by the conditions.
 
-        Engines register these as GC roots: fairness constraints live for
-        the whole run of a fair-cycle computation.
+        Engines hold these across their safe points: fairness
+        constraints live for the whole run of a fair-cycle computation.
         """
         for node, _label in self.buchi:
             yield node
@@ -122,9 +122,9 @@ class FairnessSpec:
         """Every raw BDD handle held by the constraints.
 
         Engines that run GC/reorder safe points between receiving a spec
-        and normalizing it must register these as roots first — the
-        constraint dataclasses hold bare integer handles that a sweep
-        would otherwise free and recycle.
+        and normalizing it must hold these across them — the constraint
+        dataclasses hold bare integer handles that a sweep would
+        otherwise free and recycle.
         """
         for c in self.constraints:
             for attr in ("states", "edges", "e", "f", "fin", "inf"):

@@ -16,7 +16,8 @@ Python:
 * functional composition, generalized cofactor (``constrain``) and the
   Coudert-Madre ``restrict`` don't-care minimizer,
 * satisfiability helpers (counting, cube enumeration, evaluation),
-* a mark-and-sweep garbage collector driven by explicitly registered roots,
+* a mark-and-sweep garbage collector whose roots are the safe point's
+  arguments, the open scoped holds and the handles live owners declare,
 * dynamic variable reordering (sifting) at the same GC safe points.
 
 Node storage follows the Brace-Rudell-Bryant efficient-package layout
@@ -45,7 +46,11 @@ makes in-place level swaps (sifting) safe under this encoding.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+import weakref
+from contextlib import contextmanager
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -117,11 +122,9 @@ class BDD:
 
     All functions returned by manager methods are plain ``int`` handles
     (``index << 1 | complement``); they are only meaningful together with
-    the manager that produced them.  Handles stay valid across garbage
-    collections and in-place reorders as long as they are reachable from
-    a registered root (see :meth:`gc`).  Only the explicit
-    :meth:`compact` safe-point operation moves nodes (and remaps the
-    registered roots while doing so).
+    the manager that produced them.  Node indices never move, so a handle
+    stays valid across garbage collections and in-place reorders as long
+    as a collection finds it reachable from a root (see :meth:`gc`).
 
     The manager manages its own resources, configured by the kernel
     fields of its :class:`~repro.config.EngineConfig`:
@@ -135,10 +138,9 @@ class BDD:
       nodes have been created since the last collection, :meth:`_mk`
       flags a pending GC which runs at the next *safe point* — a
       :meth:`maybe_gc` call from an engine loop where everything live is
-      either a registered root or passed as an extra root.  The
-      collection can never run in the middle of an operation because
-      intermediate results held in Python locals are invisible to the
-      mark phase.
+      rooted (see :meth:`gc`).  The collection can never run in the
+      middle of an operation because intermediate results held in
+      Python locals are invisible to the mark phase.
     * ``auto_reorder`` arms dynamic sifting the same way: when the live
       node count grows past an adaptive watermark, :meth:`_mk` flags a
       pending reorder which also runs at the next :meth:`maybe_gc` safe
@@ -196,10 +198,12 @@ class BDD:
         self._var_at_level: List[int] = []
         # Live unique-table population per variable (sifting cost model).
         self._pop: List[int] = []
-        # Externally registered GC roots (name -> handle).
-        self._roots: Dict[str, int] = {}
+        # GC roots besides a safe point's extra_roots: the handle
+        # providers of live owners (weakly held, see keep()) and of the
+        # open hold() blocks.
+        self._providers: List[weakref.WeakMethod] = []
+        self._holds: List[Callable[[], Iterable[int]]] = []
         self.gc_count = 0
-        self.compact_count = 0
         # Resource management settings (copied out of the config so
         # _mk reads plain attributes) and telemetry.
         self.config = config
@@ -221,7 +225,7 @@ class BDD:
         self.std_rewrites = 0
         # op -> [lookups, hits] for the computed cache.
         self._op_stats: Dict[str, List[int]] = {op: [0, 0] for op in CACHED_OPS}
-        # Structured event sink (GC sweeps, reorders, compactions).
+        # Structured event sink (GC sweeps, reorders).
         self.tracer: Tracer = _NULL_TRACER
 
     # ------------------------------------------------------------------
@@ -240,15 +244,20 @@ class BDD:
         self._ck_r = memoryview(self._ck_r_np)
 
     def __getstate__(self):
-        # memoryviews cannot be pickled; rebuild them on load.
+        # memoryviews and weak references cannot be pickled; rebuild the
+        # views on load.  No owner travels with a pickled manager, so its
+        # providers and holds stay behind.
         state = self.__dict__.copy()
         for key in ("_var", "_lo", "_hi", "_ut",
-                    "_ck_a", "_ck_b", "_ck_c", "_ck_r"):
+                    "_ck_a", "_ck_b", "_ck_c", "_ck_r",
+                    "_providers", "_holds"):
             state.pop(key, None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._providers = []
+        self._holds = []
         self._refresh_views()
 
     def _grow_nodes(self) -> None:
@@ -313,8 +322,8 @@ class BDD:
         """Rebuild the unique table from the live node columns.
 
         Drops all tombstones; grows (doubling) until the live load
-        factor is below 3/4.  Called after GC sweeps, compaction and
-        when the probe loops detect the table filling up.
+        factor is below 3/4.  Called after GC sweeps and when the probe
+        loops detect the table filling up.
         """
         n = self._n
         live = np.flatnonzero(self._var_np[:n] >= 0)
@@ -1327,36 +1336,20 @@ class BDD:
     # Substitution
     # ------------------------------------------------------------------
 
-    def rename(self, f: int, mapping: Dict[int, int], strict: bool = True) -> int:
+    def rename(self, f: int, mapping: Dict[int, int]) -> int:
         """Rename variables according to ``mapping`` (var index -> var index).
 
-        The mapping must be order-preserving with respect to the current
-        variable order (as is the case for interleaved present/next state
-        variables); otherwise a :class:`BddError` is raised — unless
-        ``strict`` is False, in which case the rename falls back to a
-        simultaneous :meth:`vector_compose`, which is slower but correct
-        under any order (dynamic reordering can break the interleave).
+        One cached pass rebuilds each node through :meth:`mk`: where the
+        new variable sits above both renamed children (an order-preserving
+        map, such as interleaved present/next-state bits) that is one
+        unique-table probe, and anywhere else an ``ite``, so the result
+        is correct under any order, including one that dynamic
+        reordering has changed.
         """
         if not mapping:
             return f
-        pairs = sorted(mapping.items(), key=lambda kv: self._level_of_var[kv[0]])
-        images = [self._level_of_var[v] for _, v in pairs]
-        if images == sorted(images):
-            # The rename must also not move a variable across an unrenamed
-            # variable in f's support in an order-violating way; detected
-            # lazily during reconstruction (mk with out-of-order children
-            # would break canonicity silently).
-            map_id = self._map_id(("rename",) + tuple(sorted(mapping.items())))
-            try:
-                return self._rename(f, mapping, map_id)
-            except BddError:
-                if strict:
-                    raise
-        elif strict:
-            raise BddError("rename mapping must preserve the variable order")
-        return self.vector_compose(
-            f, {v: self.var(nv) for v, nv in mapping.items()}
-        )
+        map_id = self._map_id(("rename",) + tuple(sorted(mapping.items())))
+        return self._rename(f, mapping, map_id)
 
     def _rename(self, f: int, mapping: Dict[int, int], map_id: int) -> int:
         stats = self._op_stats["rename"]
@@ -1386,14 +1379,7 @@ class BDD:
                 _, var, a, neg = frame
                 hi = results.pop()
                 lo = results.pop()
-                nvar = mapping.get(var, var)
-                nlvl = self._level_of_var[nvar]
-                for child in (lo, hi):
-                    if child >= 2 and self._node_level(child) <= nlvl:
-                        raise BddError(
-                            "rename would reorder variables; use compose instead"
-                        )
-                res = self._mk(nvar, lo, hi)
+                res = self.mk(mapping.get(var, var), lo, hi)
                 self._ck_put(a, map_id, 0, res)
                 results.append(res ^ neg)
         return results.pop()
@@ -1930,28 +1916,48 @@ class BDD:
     # Garbage collection
     # ------------------------------------------------------------------
 
-    def register_root(self, name: str, node: int) -> None:
-        """Register/overwrite an external GC root under ``name``."""
-        self._roots[name] = node
+    def keep(self, provider: Callable[[], Iterable[int]]) -> None:
+        """Root what ``provider()`` reports for as long as its owner lives.
 
-    def deregister_root(self, name: str) -> None:
-        """Drop a previously registered root (missing names are ignored)."""
-        self._roots.pop(name, None)
-
-    def register_root_group(self, prefix: str, nodes: Iterable[int]) -> None:
-        """Register a family of roots under ``prefix.<i>`` names.
-
-        Any previously registered roots with the same prefix are dropped
-        first, so re-registering a shrinking family does not leak stale
-        roots.
+        ``provider`` is a bound method (an engine object's
+        ``live_handles``), registered once: the manager holds it weakly
+        and calls it only when a collection runs, so the owner reports
+        its handles as they are at that moment and never re-registers
+        after an update.  An owner that Python frees stops pinning nodes.
         """
-        stale = [k for k in self._roots if k.startswith(prefix + ".")]
-        for k in stale:
-            del self._roots[k]
-        for i, node in enumerate(nodes):
-            self._roots[f"{prefix}.{i}"] = node
+        self._providers.append(weakref.WeakMethod(provider))
 
-    def _mark(self, extra_roots: Iterable[int]) -> "np.ndarray":
+    @contextmanager
+    def hold(self, handles: Callable[[], Iterable[int]]) -> Iterator[None]:
+        """Root ``handles()`` at every collection inside the block.
+
+        ``handles`` is called only when a collection runs, so a closure
+        over the caller's locals reports their values at that moment:
+        a loop holds its in-flight sets across the safe points of the
+        operations it calls without naming them at each one.
+        """
+        self._holds.append(handles)
+        try:
+            yield
+        finally:
+            self._holds.remove(handles)
+
+    def _root_handles(self, extra_roots: Iterable[int] = ()) -> List[int]:
+        """Every handle a collection keeps: ``extra_roots``, the open
+        holds, and the providers of live owners in registration order."""
+        roots = list(extra_roots)
+        for handles in self._holds:
+            roots.extend(handles())
+        live = []
+        for ref in self._providers:
+            provider = ref()
+            if provider is not None:
+                live.append(ref)
+                roots.extend(provider())
+        self._providers = live
+        return roots
+
+    def _mark(self, roots: List[int]) -> "np.ndarray":
         """Vectorized reachability: boolean mask over node indices.
 
         Frontier BFS over the numpy columns — each wave gathers the
@@ -1963,10 +1969,8 @@ class BDD:
         hi_np = self._hi_np[:n]
         marked = np.zeros(n, dtype=bool)
         marked[0] = True
-        roots = [h >> 1 for h in self._roots.values()]
-        roots.extend(h >> 1 for h in extra_roots)
         if roots:
-            frontier = np.unique(np.asarray(roots, dtype=np.int64))
+            frontier = np.unique(np.asarray(roots, dtype=np.int64) >> 1)
             frontier = frontier[~marked[frontier]]
             while frontier.size:
                 marked[frontier] = True
@@ -1987,17 +1991,20 @@ class BDD:
     def gc(self, extra_roots: Iterable[int] = ()) -> int:
         """Mark-and-sweep collection; returns the number of nodes freed.
 
-        Keeps every node reachable from registered roots plus
-        ``extra_roots``.  Node indices of live nodes are stable — the
-        sweep only blanks dead slots and recycles them through the free
-        list, so handles held in engine locals survive.  Mark, sweep and
-        the unique-table rebuild are vectorized numpy passes.  The
-        computed cache is cleared only when nodes were actually freed (a
-        no-op sweep cannot leave dangling entries).
+        A node survives if and only if it is reachable from a root, and
+        a handle is a root if one of three sources names it: this call's
+        ``extra_roots``, an open :meth:`hold` block, or the provider of a
+        live owner registered with :meth:`keep`.  Node indices of live
+        nodes are stable — the sweep only blanks dead slots and recycles
+        them through the free list, so handles held in engine locals
+        survive.  Mark, sweep and the unique-table rebuild are vectorized
+        numpy passes.  The computed cache is cleared only when nodes were
+        actually freed (a no-op sweep cannot leave dangling entries).
         """
         n = self._n
         var_np = self._var_np[:n]
-        marked = self._mark(extra_roots)
+        roots = self._root_handles(extra_roots)
+        marked = self._mark(roots)
         dead = np.flatnonzero((var_np >= 0) & ~marked)
         freed = int(dead.size)
         if freed:
@@ -2011,73 +2018,22 @@ class BDD:
         self._nodes_since_gc = 0
         self.tracer.instant(
             "bdd.gc", cat="bdd",
-            freed=freed, live=len(self), roots=len(self._roots),
+            freed=freed, live=len(self), roots=len(roots),
             runs=self.gc_count,
         )
         return freed
-
-    def compact(self, extra_roots: Iterable[int] = ()) -> List[int]:
-        """Compacting collection: drop dead nodes AND close the gaps.
-
-        Unlike :meth:`gc` (index-stable), compaction *moves* nodes: live
-        nodes are renumbered contiguously from the bottom of the columns
-        in one vectorized sweep (old -> new index map, children/roots
-        remapped through it, unique table rebuilt).  Every handle not
-        reachable from a registered root or ``extra_roots`` is
-        invalidated; registered roots are remapped in place and the
-        remapped ``extra_roots`` are returned in order.  Strictly a
-        safe-point operation — callers must re-read every handle they
-        keep from the remapped roots (see docs/kernel.md).
-        """
-        extra = list(extra_roots)
-        n = self._n
-        var_np, lo_np, hi_np = self._var_np, self._lo_np, self._hi_np
-        marked = self._mark(extra)
-        live = np.flatnonzero(marked)  # index 0 is always first
-        new_n = int(live.size)
-        freed = (self._n - len(self._free)) - new_n
-        newidx = np.full(n, -1, dtype=np.int64)
-        newidx[live] = np.arange(new_n, dtype=np.int64)
-        var2 = var_np[live].copy()
-        lo_old = lo_np[live]
-        hi_old = hi_np[live]
-        lo2 = (newidx[lo_old >> 1] << 1) | (lo_old & 1)
-        hi2 = (newidx[hi_old >> 1] << 1) | (hi_old & 1)
-        var_np[:new_n] = var2
-        lo_np[:new_n] = lo2
-        hi_np[:new_n] = hi2
-        var_np[new_n:n] = -1
-        lo_np[new_n:n] = 0
-        hi_np[new_n:n] = 0
-        self._n = new_n
-        self._free = []
-        self._roots = {
-            name: int((newidx[h >> 1] << 1) | (h & 1))
-            for name, h in self._roots.items()
-        }
-        self._ut_rebuild()
-        self._recount_populations()
-        self.clear_cache()
-        self.compact_count += 1
-        self._gc_pending = False
-        self._nodes_since_gc = 0
-        self.tracer.instant(
-            "bdd.compact", cat="bdd",
-            freed=freed, live=len(self), roots=len(self._roots),
-            runs=self.compact_count,
-        )
-        return [int((newidx[h >> 1] << 1) | (h & 1)) for h in extra]
 
     def maybe_gc(self, extra_roots: Iterable[int] = ()) -> int:
         """Run pending collections/reorders iff auto-managed ones are due.
 
         Engines call this at *safe points* — moments where every node
-        they hold is either a registered root or passed via
-        ``extra_roots`` — so intermediates held only in operator locals
-        are never swept.  A pending dynamic reorder (see ``auto_reorder``)
-        runs here too, under the same contract: in-place sifting keeps
-        every root handle valid.  Returns the number of nodes freed by
-        GC (0 when no collection ran).
+        they hold is rooted: passed via ``extra_roots``, inside an open
+        :meth:`hold`, or reported by an owner's provider — so
+        intermediates held only in operator locals are never swept.  A
+        pending dynamic reorder (see ``auto_reorder``) runs here too,
+        under the same contract: in-place sifting keeps every root handle
+        valid.  Returns the number of nodes freed by GC (0 when no
+        collection ran).
         """
         if not (self._gc_pending or self._reorder_pending):
             return 0
@@ -2092,9 +2048,9 @@ class BDD:
     def reorder_now(self, extra_roots: Iterable[int] = ()) -> int:
         """Sift the variable order in place; returns nodes saved.
 
-        Must only be called at a safe point (everything live registered
-        as a root or passed via ``extra_roots``).  Root handles remain
-        valid — swaps relabel nodes without moving their indices.
+        Must only be called at a safe point (everything live rooted, see
+        :meth:`gc`).  Root handles remain valid — swaps relabel nodes
+        without moving their indices.
         """
         from repro.bdd.ordering import sift_in_place
 
@@ -2133,8 +2089,8 @@ class BDD:
     # In-place level-swap primitives (used by repro.bdd.ordering.sift_in_place)
     # ------------------------------------------------------------------
 
-    def _build_refcounts(self, extra_roots: Iterable[int] = ()) -> List[int]:
-        """Per-index reference counts from live nodes and roots.
+    def _build_refcounts(self, roots: Iterable[int]) -> List[int]:
+        """Per-index reference counts from live nodes and ``roots``.
 
         Valid only at a safe point right after :meth:`gc`: every live
         node is then reachable from the counted references, so sifting
@@ -2148,9 +2104,7 @@ class BDD:
             (self._lo_np[live] >> 1, self._hi_np[live] >> 1)
         ) if live.size else np.empty(0, dtype=np.int64)
         refs = np.bincount(children, minlength=n).tolist()
-        for h in self._roots.values():
-            refs[h >> 1] += 1
-        for h in extra_roots:
+        for h in roots:
             refs[h >> 1] += 1
         return refs
 
@@ -2339,20 +2293,6 @@ class BDD:
     # Export / debug
     # ------------------------------------------------------------------
 
-    def to_expr(self, f: int) -> str:
-        """Render ``f`` as a (possibly large) nested ite expression string."""
-        if f == FALSE:
-            return "FALSE"
-        if f == TRUE:
-            return "TRUE"
-        idx = f >> 1
-        c = f & 1
-        name = self.var_name(self._var[idx])
-        return (
-            f"ite({name}, {self.to_expr(self._hi[idx] ^ c)}, "
-            f"{self.to_expr(self._lo[idx] ^ c)})"
-        )
-
     def stats(self) -> Dict[str, int]:
         """Manager statistics (live nodes, cache entries, variables, GCs)."""
         return {
@@ -2367,7 +2307,6 @@ class BDD:
             "peak_live_nodes": self.peak_live_nodes,
             "variables": self.var_count,
             "gc_runs": self.gc_count,
-            "compact_runs": self.compact_count,
             "not_calls": self.not_calls,
             "std_rewrites": self.std_rewrites,
             "complement_edges": self.complement_edge_count(),

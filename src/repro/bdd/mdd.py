@@ -59,9 +59,9 @@ class MvVar:
         self.all_codes = (1 << len(self.values)) - 1
         # literal() memo: value or frozenset of values -> BDD.  The
         # handles are not GC roots, so the memo is dropped whenever a
-        # collection, compaction or reorder may have freed or moved them.
+        # collection or reorder may have freed or relabelled them.
         self._literals: Dict[object, int] = {}
-        self._literals_epoch: Tuple[int, int, int] = self._epoch()
+        self._literals_epoch: Tuple[int, int] = self._epoch()
         self.domain_constraint = self._compute_domain_constraint()
 
     @property
@@ -95,9 +95,8 @@ class MvVar:
             (bit, (code >> i) & 1) for i, bit in enumerate(self.bits)
         )
 
-    def _epoch(self) -> Tuple[int, int, int]:
-        bdd = self.bdd
-        return (bdd.gc_count, bdd.compact_count, bdd.reorder_count)
+    def _epoch(self) -> Tuple[int, int]:
+        return (self.bdd.gc_count, self.bdd.reorder_count)
 
     def _compute_domain_constraint(self) -> int:
         if self.nvalues == 1 << len(self.bits):
@@ -154,6 +153,11 @@ class MddManager:
     def __init__(self, bdd: Optional[BDD] = None):
         self.bdd = bdd if bdd is not None else BDD()
         self._vars: Dict[str, MvVar] = {}
+        self.bdd.keep(self.live_handles)
+
+    def live_handles(self) -> List[int]:
+        """The domain constraints, which live as long as their variables."""
+        return [var.domain_constraint for var in self._vars.values()]
 
     def declare(self, name: str, values: Sequence[Value]) -> MvVar:
         """Declare a multi-valued variable, appending its bits to the order."""
@@ -163,9 +167,6 @@ class MddManager:
         bit_vars = [self.bdd.add_var(f"{name}.{i}") for i in range(nbits)]
         var = MvVar(self.bdd, name, values, bit_vars)
         self._vars[name] = var
-        # Domain-constraint BDDs live as long as the variable; make them
-        # GC roots so auto-GC can never sweep them.
-        self.bdd.register_root(f"mdd.domain.{name}", var.domain_constraint)
         return var
 
     def declare_pair(
@@ -189,8 +190,6 @@ class MddManager:
         var_b = MvVar(self.bdd, name_b, values, bits_b)
         self._vars[name_a] = var_a
         self._vars[name_b] = var_b
-        self.bdd.register_root(f"mdd.domain.{name_a}", var_a.domain_constraint)
-        self.bdd.register_root(f"mdd.domain.{name_b}", var_b.domain_constraint)
         return var_a, var_b
 
     def __contains__(self, name: str) -> bool:

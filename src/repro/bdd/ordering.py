@@ -17,7 +17,7 @@ weight to the already-placed prefix.
 
 Dynamic reordering is classic Rudell sifting over adjacent level swaps
 inside one manager (``sift_in_place``).  Node indices — and therefore
-every registered root handle — stay valid, which is what lets the
+every root handle — stay valid, which is what lets the
 manager run it at GC safe points, armed by its ``auto_reorder`` knob or
 forced with :meth:`repro.bdd.manager.BDD.reorder_now`.  A
 variable-interaction matrix turns swaps of non-interacting levels into
@@ -291,14 +291,14 @@ def sift_in_place(
     """Rudell sifting by in-place adjacent level swaps.
 
     Must run at a safe point right after a GC: everything live has to be
-    reachable from registered roots plus ``extra_roots``, because nodes
-    orphaned by a swap are freed eagerly via reference counts.  All
-    externally held root handles stay valid.  ``max_vars`` bounds how
-    many variables are sifted (0 = all); ``max_growth`` aborts a
-    direction once the size exceeds that multiple of the best seen.
+    reachable from the manager's roots (``extra_roots``, the open holds
+    and the live owners' handles), because nodes orphaned by a swap are
+    freed eagerly via reference counts.  All root handles stay valid.
+    ``max_vars`` bounds how many variables are sifted (0 = all);
+    ``max_growth`` aborts a direction once the size exceeds that
+    multiple of the best seen.
     Returns counters: full/fast swaps, lower-bound skips, sizes.
     """
-    extra = list(extra_roots)
     stats = {
         "swaps": 0,
         "fast_swaps": 0,
@@ -309,8 +309,8 @@ def sift_in_place(
     }
     if bdd.var_count < 2:
         return stats
-    roots = list(bdd._roots.values()) + extra
-    refs = bdd._build_refcounts(extra_roots=extra)
+    roots = bdd._root_handles(extra_roots)
+    refs = bdd._build_refcounts(roots)
     masks = interaction_masks(bdd, roots)
     todo = population_order(bdd)
     if max_vars:

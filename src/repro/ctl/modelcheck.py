@@ -80,7 +80,6 @@ class ModelChecker:
         self.fsm = fsm
         self.bdd = fsm.bdd
         self.stats: EngineStats = getattr(fsm, "stats", None) or EngineStats(fsm.bdd)
-        self.graph = FairGraph(fsm)
         self.fairness = fairness if fairness is not None else FairnessSpec()
         self.normalized: NormalizedFairness = self.fairness.normalize(
             self.bdd, self.bdd.true
@@ -90,12 +89,16 @@ class ModelChecker:
         self._reached = reached
         self._fair: Optional[int] = None
         self._cache: Dict[Formula, int] = {}
-        # Long-lived nodes become GC roots (auto-GC safe points may run
-        # inside the fixpoint loops below).
-        self.bdd.register_root("mc.space", self.space)
-        self.bdd.register_root_group("mc.fairness", self.normalized.nodes())
-        if reached is not None:
-            self.bdd.register_root("mc.reached", reached)
+        # Rooted before the graph: building it may build the relation.
+        self.bdd.keep(self.live_handles)
+        self.graph = FairGraph(fsm)
+
+    def live_handles(self) -> List[int]:
+        """The checker's long-lived sets: space, fairness, the reached and
+        fair states once known, and every cached satisfying set."""
+        handles = [self.space, *self.normalized.nodes(), *self._cache.values()]
+        handles.extend(h for h in (self._reached, self._fair) if h is not None)
+        return handles
 
     # ------------------------------------------------------------------
     # Fairness
@@ -114,7 +117,6 @@ class ModelChecker:
                 self._fair = all_fair_states(self.graph, self.normalized, self.space)
             else:
                 self._fair = self.space
-            self.bdd.register_root("mc.fair", self._fair)
         return self._fair
 
     def reached(self) -> int:
@@ -146,7 +148,6 @@ class ModelChecker:
             return cached
         result = self._eval(formula)
         self._cache[formula] = result
-        self.bdd.register_root(f"mc.sat.{len(self._cache)}", result)
         return result
 
     def _eval(self, f: Formula) -> int:
@@ -197,9 +198,8 @@ class ModelChecker:
             ng = bdd.and_(bdd.not_(right), self.space)
             # The EU part must survive the safe points inside eg.
             until = self.eu(ng, bdd.and_(nf, ng))
-            bdd.register_root("mc.au", until)
-            bad = bdd.or_(until, self.eg(ng))
-            bdd.deregister_root("mc.au")
+            with bdd.hold(lambda: [until]):
+                bad = bdd.or_(until, self.eg(ng))
             return bdd.and_(bdd.not_(bad), self.space)
         raise TypeError(f"unknown formula node {f!r}")
 
@@ -239,26 +239,20 @@ class ModelChecker:
 
     # -- fair fixpoint operators -----------------------------------------
 
-    def _fair_states_keeping(self, *handles: int) -> int:
-        """:meth:`fair_states`, with ``handles`` rooted while it is first
-        computed: the fair-cycle search runs GC safe points that do not know
-        the caller's (possibly unrooted) arguments."""
-        if self._fair is None:
-            self.bdd.register_root_group("mc.args", handles)
-            try:
-                self.fair_states()
-            finally:
-                self.bdd.register_root_group("mc.args", ())
-        return self._fair
-
     def ex(self, states: int) -> int:
-        target = self.bdd.and_(states, self._fair_states_keeping(states))
+        # The first fair_states() runs the fair-cycle search, whose safe
+        # points do not know the (possibly unrooted) argument.
+        with self.bdd.hold(lambda: [states]):
+            fair = self.fair_states()
+        target = self.bdd.and_(states, fair)
         return self._dc(self.bdd.and_(self.graph.pre(target), self.space))
 
     def eu(self, hold: int, target: int) -> int:
         bdd = self.bdd
         tracer = self.stats.tracer
-        target = bdd.and_(target, self._fair_states_keeping(hold, target))
+        with bdd.hold(lambda: [hold, target]):  # as in ex
+            fair = self.fair_states()
+        target = bdd.and_(target, fair)
         reach = bdd.and_(target, self.space)
         iteration = 0
         while True:
@@ -358,7 +352,6 @@ class ModelChecker:
             result = self.fsm.reachable(observer=observer)
             reached = result.reached
             self._reached = reached
-            bdd.register_root("mc.reached", reached)
             violated = bdd.diff(bdd.and_(reached, self.space), good) != bdd.false
         except _EarlyFailure:
             violated = True

@@ -266,9 +266,8 @@ class CtlDebugger:
         ``body``."""
         bdd = self.bdd
         # The fixpoints below run GC safe points that do not know
-        # ``source``, so it stays rooted until the last of them returns.
-        bdd.register_root("debug.source", source)
-        try:
+        # ``source``, so it stays held until the last of them returns.
+        with bdd.hold(lambda: [source]):
             region = self.mc.eval(body) if not isinstance(body, TrueF) else self.mc.space
             region = bdd.and_(region, self.mc.eg(region))
             # Only a fair cycle that source reaches inside the region can
@@ -277,8 +276,6 @@ class CtlDebugger:
                 region, bdd.and_(source, region), self.graph.trans
             )
             scc = find_fair_scc(self.graph, self.mc.normalized, region)
-        finally:
-            bdd.deregister_root("debug.source")
         assert scc is not None, "EG region contains no fair cycle"
         t_region = self.graph.restrict(self.graph.trans, region)
         prefix_minterms = shortest_path_within(

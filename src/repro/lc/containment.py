@@ -89,10 +89,10 @@ def _check_containment(
     bdd = fsm.bdd
     spec = system_fairness if system_fairness is not None else FairnessSpec()
     # The caller's constraint handles must survive the GC/reorder safe
-    # points inside build_transition, so root them before building.
-    bdd.register_root_group("lc.sysfair", spec.nodes())
-    monitor = attach(fsm, automaton)
-    fsm.build_transition(method=quantify_method)
+    # points inside build_transition.
+    with bdd.hold(spec.nodes):
+        monitor = attach(fsm, automaton)
+        fsm.build_transition(method=quantify_method)
     graph = FairGraph(fsm)
 
     sys_norm = spec.normalize(bdd, bdd.true)
@@ -100,20 +100,14 @@ def _check_containment(
     combined = FairnessSpec(list(spec) + list(property_streett)).normalize(
         bdd, bdd.true
     )
-    bdd.register_root_group("lc.fairness", combined.nodes())
 
     doomed = doomed_states(monitor.automaton)
     doomed_bdd = monitor.state_bdd(doomed) if doomed else bdd.false
-    bdd.register_root("lc.doomed", doomed_bdd)
-    early_scc: Optional[FairScc] = None
-    early_depth: Optional[int] = None
-
     reached_acc = [fsm.init]
     doomed_hit = [False]
 
     def observer(depth: int, frontier: int) -> None:
         reached_acc[0] = bdd.or_(reached_acc[0], frontier)
-        bdd.register_root("lc.reached", reached_acc[0])
         if not early_fail or doomed_bdd == bdd.false:
             return
         if bdd.and_(frontier, doomed_bdd) == bdd.false:
@@ -134,43 +128,21 @@ def _check_containment(
                 fsm.stats.tracer.instant("lc.early_stop", cat="lc", depth=depth)
             raise _EarlyStop(scc, depth)
 
-    try:
-        reach = fsm.reachable(observer=observer)
-    except _EarlyStop as stop:
-        early_scc = stop.scc
-        early_depth = stop.depth
-        reach = ReachResult(
-            reached=reached_acc[0],
-            rings=[],
-            iterations=early_depth,
-            converged=False,
-            seconds=0.0,
-        )
-        # Rebuild the onion rings up to the stop depth for the debugger.
-        # The witness SCC must survive the safe points of that second
-        # reachability pass, so root its nodes first.
-        bdd.register_root_group(
-            "lc.early_scc",
-            [early_scc.states, early_scc.trans]
-            + [edges for edges, _label in early_scc.required_edges],
-        )
-        reach = fsm.reachable(max_iterations=early_depth + 1)
-
-    if early_scc is not None:
-        return LcResult(
-            automaton=automaton,
-            holds=False,
-            fair_scc=early_scc,
-            monitor=monitor,
-            fsm=fsm,
-            graph=graph,
-            reach=reach,
-            fairness=combined,
-            seconds=0.0,
-            early_failure=True,
-        )
-
-    scc = find_fair_scc(graph, combined, reach.reached)
+    # Reachability, the early checks and the search hold the combined
+    # fairness (which covers the caller's), the doomed region and the
+    # reached set.
+    with bdd.hold(lambda: [*combined.nodes(), doomed_bdd, reached_acc[0]]):
+        try:
+            reach = fsm.reachable(observer=observer)
+        except _EarlyStop as stop:
+            # Rebuild the onion rings up to the stop depth for the
+            # debugger; the witness SCC is held across that second pass.
+            scc, early = stop.scc, True
+            with bdd.hold(lambda: [scc.states, scc.trans,
+                                   *(e for e, _label in scc.required_edges)]):
+                reach = fsm.reachable(max_iterations=stop.depth + 1)
+        else:
+            scc, early = find_fair_scc(graph, combined, reach.reached), False
     return LcResult(
         automaton=automaton,
         holds=scc is None,
@@ -181,6 +153,7 @@ def _check_containment(
         reach=reach,
         fairness=combined,
         seconds=0.0,
+        early_failure=early,
     )
 
 
@@ -194,9 +167,9 @@ def language_empty(
     and hence useless (paper §5 on why fairness constraints are needed).
     """
     bdd = fsm.bdd
-    graph = FairGraph(fsm)
     spec = fairness if fairness is not None else FairnessSpec()
-    normalized = spec.normalize(bdd, bdd.true)
-    bdd.register_root_group("lc.fairness", normalized.nodes())
-    reached = fsm.reachable().reached
-    return find_fair_scc(graph, normalized, reached) is None
+    with bdd.hold(spec.nodes):
+        graph = FairGraph(fsm)
+        normalized = spec.normalize(bdd, bdd.true)
+        reached = fsm.reachable().reached
+        return find_fair_scc(graph, normalized, reached) is None

@@ -28,19 +28,19 @@ witness: it returns one bottom SCC of the final hull.
 Edge sets are BDDs over (present, next) state bits and are always
 interpreted intersected with the transition relation.
 
-Every fixpoint loop here is a GC/reorder safe point (:meth:`FairGraph.
-safe_point`).  A function that holds handles across a callee with its own
-safe points declares them with :meth:`FairGraph.hold`, so a collection
-forced anywhere inside the search keeps everything the open frames still
-need, including the callers' unrooted arguments.
+Every fixpoint loop here is a GC/reorder safe point: it calls
+:meth:`~repro.bdd.manager.BDD.maybe_gc` with the sets it holds.  A
+function that holds handles across a callee with its own safe points
+declares them with :meth:`~repro.bdd.manager.BDD.hold`, so a collection
+forced anywhere inside the search keeps everything the open holds still
+need, including the callers' unrooted arguments.  The graph's own
+relation, cubes and space are rooted for as long as the graph lives.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.automata.fairness import NormalizedFairness
 from repro.bdd.manager import BDD
@@ -63,33 +63,11 @@ class FairGraph:
         self._x_to_y = fsm.x_to_y()
         self._y_to_x = fsm.y_to_x()
         self.space: int = fsm.state_domain()
-        # The graph's fixed nodes must survive any auto-GC safe point.
-        self.bdd.register_root("graph.trans", self.trans)
-        self.bdd.register_root("graph.x_cube", self._x_cube)
-        self.bdd.register_root("graph.y_cube", self._y_cube)
-        self.bdd.register_root("graph.space", self.space)
-        # Handle providers of the frames now open (see hold()).
-        self._frames: List[Callable[[], Iterable[int]]] = []
+        self.bdd.keep(self.live_handles)
 
-    # -- GC safe points ----------------------------------------------------
-
-    @contextmanager
-    def hold(self, handles: Callable[[], Iterable[int]]) -> Iterator[None]:
-        """Keep ``handles()`` alive at every safe point inside the block.
-
-        ``handles`` is called only when a collection is due, so a closure
-        over the caller's locals reports their values at that moment.
-        """
-        self._frames.append(handles)
-        try:
-            yield
-        finally:
-            self._frames.remove(handles)
-
-    def safe_point(self, *handles: int) -> None:
-        """Run a due GC/reorder; ``handles`` and every open frame survive."""
-        held = chain.from_iterable(frame() for frame in self._frames)
-        self.bdd.maybe_gc(extra_roots=chain(handles, held))
+    def live_handles(self) -> List[int]:
+        """The graph's fixed nodes: relation, quantification cubes, space."""
+        return [self.trans, self._x_cube, self._y_cube, self.space]
 
     # -- primitive images ------------------------------------------------
 
@@ -97,18 +75,18 @@ class FairGraph:
         """Successor states of ``states`` under ``trans``."""
         t = self.trans if trans is None else trans
         nxt = self.bdd.and_exists(t, states, self._x_cube)
-        return self.bdd.rename(nxt, self._y_to_x, strict=False)
+        return self.bdd.rename(nxt, self._y_to_x)
 
     def pre(self, states: int, trans: Optional[int] = None) -> int:
         """Predecessor states of ``states`` under ``trans``."""
         t = self.trans if trans is None else trans
-        primed = self.bdd.rename(states, self._x_to_y, strict=False)
+        primed = self.bdd.rename(states, self._x_to_y)
         return self.bdd.and_exists(t, primed, self._y_cube)
 
     def restrict(self, trans: int, states: int) -> int:
         """Edges with both endpoints inside ``states``."""
         bdd = self.bdd
-        primed = bdd.rename(states, self._x_to_y, strict=False)
+        primed = bdd.rename(states, self._x_to_y)
         return bdd.and_(bdd.and_(trans, states), primed)
 
     def edge_sources(self, edges: int, trans: int) -> int:
@@ -134,7 +112,7 @@ class FairGraph:
         while frontier != bdd.false:
             frontier = bdd.diff(bdd.and_(self.pre(frontier, trans), region), reach)
             reach = bdd.or_(reach, frontier)
-            self.safe_point(region, target, trans, reach, frontier)
+            bdd.maybe_gc(extra_roots=(region, target, trans, reach, frontier))
         return reach
 
     def forward_within(self, region: int, source: int, trans: int) -> int:
@@ -145,7 +123,7 @@ class FairGraph:
         while frontier != bdd.false:
             frontier = bdd.diff(bdd.and_(self.post(frontier, trans), region), reach)
             reach = bdd.or_(reach, frontier)
-            self.safe_point(region, source, trans, reach, frontier)
+            bdd.maybe_gc(extra_roots=(region, source, trans, reach, frontier))
         return reach
 
     def invariant_core(self, region: int, trans: int) -> int:
@@ -158,7 +136,7 @@ class FairGraph:
             if kept == z:
                 return z
             z = kept
-            self.safe_point(region, trans, z)
+            bdd.maybe_gc(extra_roots=(region, trans, z))
 
     def pick_state(self, states: int) -> Optional[int]:
         """One concrete state of ``states`` as a minterm BDD (None if empty)."""
@@ -228,9 +206,9 @@ def fair_hull(
         return bdd.false  # a required edge set has no edges at all
     streett_f_trans = [bdd.and_(t, f) for _e, f, _label in fairness.streett]
     streett_avoid_trans = [bdd.diff(t, e) for e, _f, _label in fairness.streett]
-    old = z  # the frame reads it before the loop first sets it
-    with graph.hold(lambda: [space, t, z, old, *buchi_trans, *streett_f_trans,
-                             *streett_avoid_trans, *fairness.nodes()]):
+    old = z  # the hold reads it before the loop first sets it
+    with bdd.hold(lambda: [space, t, z, old, *buchi_trans, *streett_f_trans,
+                           *streett_avoid_trans, *fairness.nodes()]):
         while True:
             old = z
             # Every hull state needs a successor inside the hull.
@@ -239,14 +217,14 @@ def fair_hull(
                 target = graph.sources_within(tb, z)
                 z = graph.backward_within(z, target, t)
             for tf, t_avoid in zip(streett_f_trans, streett_avoid_trans):
-                # avoid first: target_f is in no frame, so it must not be
+                # avoid first: target_f is in no hold, so it must not be
                 # held across invariant_core's safe points.
                 avoid = graph.invariant_core(z, t_avoid)
                 target_f = graph.sources_within(tf, z)
                 z = graph.backward_within(z, bdd.or_(target_f, avoid), t)
             if z == old:
                 return z
-            graph.safe_point()
+            bdd.maybe_gc()
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +274,8 @@ def fair_core(
     bdd = graph.bdd
     tracer = graph.fsm.stats.tracer
     trans, residual = effective_cycle_relation(graph, fairness)
-    region = bdd.false  # the frame reads it before the hull sets it
-    with graph.hold(lambda: [space, trans, region, *fairness.nodes()]):
+    region = bdd.false  # the hold reads it before the hull sets it
+    with bdd.hold(lambda: [space, trans, region, *fairness.nodes()]):
         region = fair_hull(graph, residual, space, trans=trans)
         rounds = 0
         while region != bdd.false and residual.streett:
@@ -334,8 +312,8 @@ def _bottom_scc(graph: FairGraph, region: int, trans: int) -> int:
     """
     bdd = graph.bdd
     part = region
-    fwd = scc = bdd.false  # the frame reads them before they are set
-    with graph.hold(lambda: [region, trans, part, fwd, scc]):
+    fwd = scc = bdd.false  # the hold reads them before they are set
+    with bdd.hold(lambda: [region, trans, part, fwd, scc]):
         while True:
             seed = graph.pick_state(part)
             fwd = graph.forward_within(part, seed, trans)
@@ -361,7 +339,7 @@ def find_fair_scc(
     prefix may use the full relation.
     """
     bdd = graph.bdd
-    with graph.hold(lambda: [space, *fairness.nodes()]):
+    with bdd.hold(lambda: [space, *fairness.nodes()]):
         region, trans = fair_core(graph, fairness, space)
         if region == bdd.false:
             return None
@@ -389,7 +367,7 @@ def all_fair_states(
     For pure Büchi fairness the region is the Emerson-Lei hull.
     """
     bdd = graph.bdd
-    with graph.hold(lambda: [space, *fairness.nodes()]):
+    with bdd.hold(lambda: [space, *fairness.nodes()]):
         region, _trans = fair_core(graph, fairness, space)
         return graph.backward_within(
             bdd.and_(space, graph.space), region, graph.trans

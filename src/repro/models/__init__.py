@@ -97,7 +97,7 @@ def read_design(
         return spec.name, spec.design, spec.pif
     if form == "verilog":
         with open(ref) as handle:
-            design = compile_verilog(handle.read(), root=root)
+            design = compile_verilog(handle.read(), root=root, source=ref)
     else:
         design = parse_file(ref)
     return design.root, design, None

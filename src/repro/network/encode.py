@@ -385,7 +385,7 @@ def _encode_tables_shared(
             for rep_bit, inst_bit in zip(rep_var.bits, inst_var.bits):
                 mapping[rep_bit] = inst_bit
         nodes[lo:hi] = [
-            bdd.rename(nodes[ri], mapping, strict=False)
+            bdd.rename(nodes[ri], mapping)
             for ri in range(rep.tables[0], rep.tables[1])
         ]
         instances_substituted += 1

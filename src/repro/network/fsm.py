@@ -98,15 +98,21 @@ class SymbolicFsm:
         self._part_plan: Optional[ImageSchedule] = None
         # Watermark gating full GC sweeps inside reachable(); see there.
         self._hard_gc_rearm = 0
-        # Everything the FSM holds long-term must be a GC root so auto-GC
-        # at engine safe points can never sweep it.
-        self.bdd.register_root("fsm.init", self.init)
-        self._register_conjunct_roots()
+        # The last completed reachable() run, whose sets the machine holds.
+        self._last_reach: Optional[ReachResult] = None
+        self.bdd.keep(self.live_handles)
 
-    def _register_conjunct_roots(self) -> None:
-        self.bdd.register_root_group(
-            "fsm.conjunct", (c.node for c in self.conjuncts)
-        )
+    def live_handles(self) -> List[int]:
+        """Every handle the machine holds long-term: init, the conjuncts,
+        the relation, and the rings and reached set of its last completed
+        :meth:`reachable` run."""
+        handles = [self.init, *(c.node for c in self.conjuncts)]
+        if self.trans is not None:
+            handles.append(self.trans)
+        if self._last_reach is not None:
+            handles.append(self._last_reach.reached)
+            handles.extend(self._last_reach.rings)
+        return handles
 
     # ------------------------------------------------------------------
     # Variable bookkeeping
@@ -169,7 +175,6 @@ class SymbolicFsm:
                       reset=tuple(initial))
         )
         self.init = self.bdd.and_(self.init, x.literal(list(initial)))
-        self.bdd.register_root("fsm.init", self.init)
         self._part_plan = None
         return x, y
 
@@ -180,7 +185,6 @@ class SymbolicFsm:
         self.conjuncts.append(
             Conjunct(node=node, support=frozenset(self.bdd.support(node)), label=label)
         )
-        self._register_conjunct_roots()
         self._part_plan = None
 
     # ------------------------------------------------------------------
@@ -209,8 +213,6 @@ class SymbolicFsm:
         self.trans = result.node
         self.quantify_result = result
         self._frozen = True
-        self.bdd.register_root("fsm.trans", self.trans)
-        self.bdd.register_root("fsm.init", self.init)
         return self.trans
 
     def require_transition(self) -> int:
@@ -227,12 +229,12 @@ class SymbolicFsm:
         """Forward image: states reachable from ``states`` in one step."""
         t = self.require_transition() if trans is None else trans
         nxt = self.bdd.and_exists(t, states, self.x_cube())
-        return self.bdd.rename(nxt, self.y_to_x(), strict=False)
+        return self.bdd.rename(nxt, self.y_to_x())
 
     def preimage(self, states: int, trans: Optional[int] = None) -> int:
         """Backward image: states with a successor in ``states``."""
         t = self.require_transition() if trans is None else trans
-        primed = self.bdd.rename(states, self.x_to_y(), strict=False)
+        primed = self.bdd.rename(states, self.x_to_y())
         return self.bdd.and_exists(t, primed, self.y_cube())
 
     def partition_schedule(self) -> ImageSchedule:
@@ -296,7 +298,7 @@ class SymbolicFsm:
                 plan_steps=len(plan.steps),
                 peak_size=result.peak_size,
             )
-        return self.bdd.rename(result.node, self.y_to_x(), strict=False)
+        return self.bdd.rename(result.node, self.y_to_x())
 
     # ------------------------------------------------------------------
     # Reachability
@@ -323,23 +325,15 @@ class SymbolicFsm:
         if not partitioned:
             self.require_transition()
         self._hard_gc_rearm = 0
-        with self.stats.phase("reach") as timer:
-            current = self.init if init is None else init
-            reached = current
-            rings = [current]
-            # The image computations below run their own GC/reorder safe
-            # points that only know about registered roots and the
-            # quantification-local pool — the onion rings must be durable
-            # roots, not just extra_roots at this loop's own safe point.
-            # (frontier is always rings[-1] and current is rings[0] when
-            # image() runs, so the group covers every handle the loop
-            # holds besides reached, which is registered separately.)
-            # Registering the group drops the rings of an earlier run;
-            # each new ring then adds its own root.
-            bdd.register_root_group("fsm.rings", rings)
-            iterations = 0
-            converged = False
-            frontier = current
+        current = self.init if init is None else init
+        reached = frontier = current
+        rings = [current]
+        iterations = 0
+        converged = False
+        # The images and the observer run safe points of their own, so
+        # the loop holds its sets (current is rings[0]) throughout.
+        hold = bdd.hold(lambda: [reached, frontier, *rings])
+        with self.stats.phase("reach") as timer, hold:
             while frontier != bdd.false:
                 if max_iterations is not None and iterations >= max_iterations:
                     break
@@ -357,8 +351,6 @@ class SymbolicFsm:
                     break
                 reached = bdd.or_(reached, frontier)
                 rings.append(frontier)
-                bdd.register_root(f"fsm.rings.{len(rings) - 1}", frontier)
-                bdd.register_root("fsm.reached", reached)
                 if tracer.enabled:
                     tracer.instant(
                         "reach.ring", cat="reach",
@@ -368,10 +360,8 @@ class SymbolicFsm:
                         frontier_states=self.count_states(frontier),
                         reached_states=self.count_states(reached),
                     )
-                # Safe point: every live node the loop holds is either a
-                # registered root or in extra_roots below.
                 if len(bdd) > GC_NODE_THRESHOLD and len(bdd) >= self._hard_gc_rearm:
-                    freed = bdd.gc(extra_roots=rings + [frontier, current])
+                    freed = bdd.gc()
                     after = len(bdd)
                     # A live set permanently above the threshold used to
                     # trigger a full sweep on *every* iteration even when
@@ -389,18 +379,17 @@ class SymbolicFsm:
                             depth=iterations, freed=freed, live=after,
                         )
                 else:
-                    freed = bdd.maybe_gc(
-                        extra_roots=rings + [frontier, current]
-                    )
+                    freed = bdd.maybe_gc()
                     if freed:
                         self.stats.bump("auto_gc_freed", freed)
-        return ReachResult(
+        self._last_reach = ReachResult(
             reached=reached,
             rings=rings,
             iterations=iterations,
             converged=converged,
             seconds=timer.seconds,
         )
+        return self._last_reach
 
     # ------------------------------------------------------------------
     # State inspection

@@ -177,8 +177,6 @@ class EngineStats:
                 f"cache occupancy: {s['cache_entries']}/{s['cache_capacity']} "
                 f"({s['cache_entries'] / s['cache_capacity']:.1%})"
             )
-            if s["compact_runs"]:
-                lines.append(f"  compactions: {s['compact_runs']} run(s)")
             if s["reorder_runs"]:
                 lines.append(
                     f"  reorder: {s['reorder_runs']} run(s), "

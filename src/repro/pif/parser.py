@@ -161,8 +161,11 @@ def parse_pif(text: str, source: str = "<string>") -> PifFile:
     lines = [line.split("#", 1)[0].rstrip() for line in text.splitlines()]
     i = 0
 
+    def at(lineno: int) -> str:
+        return f"{source}:{lineno + 1}"
+
     def err(lineno: int, message: str) -> PifError:
-        return PifError(f"{source}:{lineno + 1}: {message}")
+        return PifError(f"{at(lineno)}: {message}")
 
     while i < len(lines):
         line = lines[i].strip()
@@ -175,7 +178,7 @@ def parse_pif(text: str, source: str = "<string>") -> PifFile:
                 raise err(i, "ctl line needs 'ctl <name> :: <formula>'")
             name, formula_text = rest.split("::", 1)
             out.ctl_props.append(
-                (name.strip(), _parse_prop(formula_text.strip(), f"line {i + 1}"))
+                (name.strip(), _parse_prop(formula_text.strip(), at(i)))
             )
             i += 1
             continue
@@ -195,8 +198,8 @@ def parse_pif(text: str, source: str = "<string>") -> PifFile:
                 out.fairness.append(
                     FairnessDecl(
                         kind=kind,
-                        first=_parse_prop(halves[0].strip(), f"line {i + 1}"),
-                        second=_parse_prop(halves[1].strip(), f"line {i + 1}"),
+                        first=_parse_prop(halves[0].strip(), at(i)),
+                        second=_parse_prop(halves[1].strip(), at(i)),
                         label=label,
                     )
                 )
@@ -204,7 +207,7 @@ def parse_pif(text: str, source: str = "<string>") -> PifFile:
                 out.fairness.append(
                     FairnessDecl(
                         kind=kind,
-                        first=_parse_prop(parts[1].strip(), f"line {i + 1}"),
+                        first=_parse_prop(parts[1].strip(), at(i)),
                         label=label,
                     )
                 )
@@ -236,7 +239,7 @@ def parse_pif(text: str, source: str = "<string>") -> PifFile:
                     if "::" in rest:
                         head, guard_text = rest.split("::", 1)
                         guard = formula_to_guard(
-                            _parse_prop(guard_text.strip(), f"line {i + 1}")
+                            _parse_prop(guard_text.strip(), at(i))
                         )
                     else:
                         head, guard = rest, GTrue()
@@ -245,7 +248,7 @@ def parse_pif(text: str, source: str = "<string>") -> PifFile:
                         raise err(i, "edge line needs 'edge <src> <dst> [:: guard]'")
                     edges.append((head_parts[0], head_parts[1], guard))
                 elif body.startswith("accept "):
-                    accepts.append((body, f"line {i + 1}"))
+                    accepts.append((body, at(i)))
                 else:
                     raise err(i, f"unexpected automaton line {body!r}")
                 i += 1

@@ -159,9 +159,7 @@ def check_refinement(
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        primed = bdd.rename(
-            bdd.rename(relation, ix2y, strict=False), sx2y, strict=False
-        )
+        primed = bdd.rename(bdd.rename(relation, ix2y), sx2y)
         # ok(x_i, x_s, y_i): some spec move lands in the relation
         ok = bdd.and_exists(t_spec, primed, sy_cube)
         # bad(x_i, x_s): some impl move cannot be matched

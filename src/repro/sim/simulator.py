@@ -51,6 +51,12 @@ class Simulator:
         self.trace = SimTrace()
         self.current: Optional[State] = None
         self._visited = fsm.bdd.false
+        # Each step's image runs safe points: the visited set is rooted.
+        self.bdd.keep(self.live_handles)
+
+    def live_handles(self) -> List[int]:
+        """The visited set, the one handle the simulator holds."""
+        return [self._visited]
 
     # ------------------------------------------------------------------
 

@@ -747,9 +747,19 @@ def compile_source(source: SourceFile, root: Optional[str] = None) -> Design:
     return design
 
 
-def compile_verilog(text: str, root: Optional[str] = None) -> Design:
-    """Parse and compile Verilog text to a BLIF-MV design (vl2mv)."""
-    return compile_source(parse_verilog(text), root=root)
+def compile_verilog(
+    text: str, root: Optional[str] = None, source: str = "<string>"
+) -> Design:
+    """Parse and compile Verilog text to a BLIF-MV design (vl2mv).
+
+    Errors name ``source``: ``source:N: ...`` for a lexical or syntax
+    error on line N, ``source: ...`` for the others.
+    """
+    try:
+        return compile_source(parse_verilog(text), root=root)
+    except VerilogError as exc:
+        where = source if exc.line is None else f"{source}:{exc.line}"
+        raise VerilogError(f"{where}: {exc.message}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -766,7 +776,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cli.add_argument("--root", help="root module name")
     args = cli.parse_args(argv)
     with open(args.input) as handle:
-        design = compile_verilog(handle.read(), root=args.root)
+        design = compile_verilog(handle.read(), root=args.root, source=args.input)
     text = write(design) + "\n"
     if args.output:
         with open(args.output, "w") as handle:

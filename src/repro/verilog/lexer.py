@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 
 class VerilogError(Exception):
-    """Raised on lexical/syntactic/semantic errors in Verilog input."""
+    """Raised on lexical/syntactic/semantic errors in Verilog input.
+
+    ``line`` is the source line of a lexical or syntax error, which the
+    message then starts with (``line N: ...``).
+    """
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.message = message
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ def tokenize(text: str) -> List[Token]:
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            raise VerilogError(f"line {line}: unexpected character {text[pos]!r}")
+            raise VerilogError(f"unexpected character {text[pos]!r}", line)
         group = match.lastgroup
         value = match.group()
         line += value.count("\n")

@@ -71,13 +71,13 @@ class _Parser:
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise VerilogError(f"line {tok.line}: expected {text!r}, got {tok.text!r}")
+            raise VerilogError(f"expected {text!r}, got {tok.text!r}", tok.line)
         return tok
 
     def expect_id(self) -> str:
         tok = self.next()
         if tok.kind != "id":
-            raise VerilogError(f"line {tok.line}: expected identifier, got {tok.text!r}")
+            raise VerilogError(f"expected identifier, got {tok.text!r}", tok.line)
         return tok.text
 
     # -- top level ---------------------------------------------------------
@@ -123,7 +123,7 @@ class _Parser:
             return self.initial()
         if tok.kind == "id":
             return self.instance()
-        raise VerilogError(f"line {tok.line}: unexpected {tok.text!r}")
+        raise VerilogError(f"unexpected {tok.text!r}", tok.line)
 
     def net_decl(self) -> NetDecl:
         kind = self.next().text
@@ -175,7 +175,7 @@ class _Parser:
         if tok.kind == "sized":
             value, _width = parse_sized_literal(tok.text)
             return value
-        raise VerilogError(f"line {tok.line}: expected constant, got {tok.text!r}")
+        raise VerilogError(f"expected constant, got {tok.text!r}", tok.line)
 
     def param_decl(self) -> ParamDecl:
         self.next()  # parameter | localparam
@@ -286,7 +286,7 @@ class _Parser:
             nonblocking = False
         else:
             raise VerilogError(
-                f"line {op.line}: expected assignment operator, got {op.text!r}"
+                f"expected assignment operator, got {op.text!r}", op.line
             )
         value = self.expression()
         self.expect(";")
@@ -356,7 +356,7 @@ class _Parser:
         if tok.kind == "system":
             if tok.text != "$ND":
                 raise VerilogError(
-                    f"line {tok.line}: unsupported system call {tok.text}"
+                    f"unsupported system call {tok.text}", tok.line
                 )
             self.expect("(")
             choices = [self.expression()]
@@ -373,7 +373,7 @@ class _Parser:
                 self.expect("]")
                 base = Index(base=base, index=index)
             return base
-        raise VerilogError(f"line {tok.line}: unexpected token {tok.text!r}")
+        raise VerilogError(f"unexpected token {tok.text!r}", tok.line)
 
 
 def _flatten_assignments(stmt: Stmt) -> List[Assignment]:

@@ -1,5 +1,7 @@
 """Unit tests for the core BDD manager."""
 
+import pickle
+
 import pytest
 
 from repro.bdd import BDD, BddError, FALSE, TRUE
@@ -150,12 +152,17 @@ class TestSubstitution:
         g = bdd.rename(f, mapping)
         assert bdd.eval(g, {"a": 0, "b": 0, "c": 1, "d": 0}) is True
 
-    def test_rename_rejects_order_violation(self, bdd):
-        f = bdd.and_(bdd.var("c"), bdd.var("d"))
-        mapping = {bdd.var_index("c"): bdd.var_index("b"),
-                   bdd.var_index("d"): bdd.var_index("a")}
-        with pytest.raises(BddError):
-            bdd.rename(f, mapping)
+    def test_rename_order_violation_matches_vector_compose(self, bdd):
+        """A map that reverses the order, or moves a variable below an
+        unrenamed one of the support, is rebuilt through ``ite`` and lands
+        on the handle of the same simultaneous substitution."""
+        a, b, c, d = (bdd.var_index(n) for n in "abcd")
+        for f, mapping in [
+            (bdd.and_(bdd.var("c"), bdd.nvar("d")), {c: b, d: a}),
+            (bdd.or_(bdd.var("a"), bdd.nvar("b")), {a: d}),
+        ]:
+            substitution = {v: bdd.var(nv) for v, nv in mapping.items()}
+            assert bdd.rename(f, mapping) == bdd.vector_compose(f, substitution)
 
     def test_compose(self, bdd):
         f = bdd.and_(bdd.var("a"), bdd.var("b"))
@@ -248,11 +255,24 @@ class TestCountingAndEnumeration:
         assert bdd.size(f) == 4  # two internal + two terminals
 
 
+class _Owner:
+    """An engine object in miniature: it declares the handles it holds."""
+
+    def __init__(self, handles):
+        self.handles = list(handles)
+        self.reads = 0
+
+    def live_handles(self):
+        self.reads += 1
+        return self.handles
+
+
 class TestGarbageCollection:
     def test_gc_preserves_roots(self, bdd):
         f = bdd.xor(bdd.var("a"), bdd.var("b"))
         garbage = [bdd.conj([bdd.var("a"), bdd.var("c"), bdd.var("d")])]
-        bdd.register_root("f", f)
+        owner = _Owner([f])
+        bdd.keep(owner.live_handles)
         del garbage
         before = len(bdd)
         freed = bdd.gc()
@@ -272,16 +292,55 @@ class TestGarbageCollection:
         assert bdd.eval(g, {"a": 1, "b": 1, "c": 0, "d": 0}) is True
 
     def test_deregister_root(self, bdd):
+        """A root stops pinning its nodes once its hold closes or its owner
+        is freed: nothing is deregistered by hand."""
         f = bdd.and_(bdd.var("a"), bdd.var("b"))
-        bdd.register_root("f", f)
-        bdd.deregister_root("f")
-        bdd.deregister_root("not-there")  # no error
+        with bdd.hold(lambda: [f]):
+            bdd.gc()
+            assert bdd.eval(f, {"a": 1, "b": 1, "c": 0, "d": 0}) is True
+        owner = _Owner([f])
+        bdd.keep(owner.live_handles)
+        assert bdd.gc() == 0
+        del owner
         assert bdd.gc() > 0
 
     def test_stats_shape(self, bdd):
         stats = bdd.stats()
         assert {"live_nodes", "allocated_nodes", "cache_entries",
                 "variables", "gc_runs"} <= set(stats)
+
+
+class TestRootSources:
+    """A handle survives a collection iff a safe point's ``extra_roots``,
+    an open ``hold`` or a live owner's provider names it."""
+
+    def test_providers_are_read_only_when_a_collection_runs(self, bdd):
+        owner = _Owner([bdd.and_(bdd.var("a"), bdd.var("b"))])
+        bdd.keep(owner.live_handles)
+        assert bdd.maybe_gc() == 0 and owner.reads == 0
+        bdd.gc()
+        assert owner.reads == 1
+
+    def test_holds_nest_and_close_on_error(self, bdd):
+        f = bdd.and_(bdd.var("a"), bdd.var("b"))
+        g = bdd.or_(bdd.var("c"), bdd.var("d"))
+        with bdd.hold(lambda: [f]):
+            with pytest.raises(RuntimeError):
+                with bdd.hold(lambda: [g]):
+                    raise RuntimeError("leave the inner block")
+            assert bdd.gc() > 0  # g is no longer held, f still is
+            assert bdd.eval(f, {"a": 1, "b": 1, "c": 0, "d": 0}) is True
+        assert bdd.gc() > 0
+
+    def test_pickled_manager_leaves_providers_and_holds_behind(self, bdd):
+        f = bdd.xor(bdd.var("a"), bdd.var("c"))
+        owner = _Owner([f])
+        bdd.keep(owner.live_handles)
+        bdd.gc()
+        with bdd.hold(lambda: [f]):
+            clone = pickle.loads(pickle.dumps(bdd))
+        assert clone.gc() > 0  # nothing roots f in the copy
+        assert bdd.gc() == 0
 
 
 class TestSizeSemantics:
@@ -310,7 +369,8 @@ class TestSizeSemantics:
 class TestSelfManagement:
     def test_gc_skips_cache_clear_when_nothing_freed(self, bdd):
         f = bdd.and_(bdd.var("a"), bdd.var("b"))
-        bdd.register_root("f", f)
+        owner = _Owner([f])
+        bdd.keep(owner.live_handles)
         bdd.gc()  # collect any garbage from fixture setup
         a_idx = bdd.var_index("a")
         # Creates cache entries but no new nodes.
@@ -355,7 +415,8 @@ class TestSelfManagement:
         for name in ("a", "b", "c", "d"):
             manager.add_var(name)
         keep = manager.xor(manager.var("a"), manager.var("b"))
-        manager.register_root("keep", keep)
+        owner = _Owner([keep])
+        manager.keep(owner.live_handles)
         # Churn out garbage until the trigger fires.
         for _ in range(4):
             manager.conj([manager.var("a"), manager.var("c"), manager.var("d")])
@@ -377,13 +438,17 @@ class TestSelfManagement:
         assert not bdd._gc_pending
 
     def test_register_root_group_replaces_prefix(self, bdd):
-        f, g = bdd.var("a"), bdd.var("b")
-        bdd.register_root_group("grp", [f, g])
-        assert bdd._roots["grp.0"] == f
-        assert bdd._roots["grp.1"] == g
-        bdd.register_root_group("grp", [g])
-        assert bdd._roots["grp.0"] == g
-        assert "grp.1" not in bdd._roots
+        """An owner's family of roots is read at each collection, so a
+        family that shrinks leaves no stale root behind."""
+        f = bdd.and_(bdd.var("a"), bdd.var("b"))
+        g = bdd.or_(bdd.var("c"), bdd.var("d"))
+        owner = _Owner([f, g])
+        bdd.keep(owner.live_handles)
+        bdd.gc()
+        assert bdd.gc() == 0
+        owner.handles = [g]
+        assert bdd.gc() == bdd.size(f) - 2  # f's own nodes, no terminal
+        assert bdd.eval(g, {"a": 0, "b": 0, "c": 0, "d": 1}) is True
 
     def test_cache_stats_counts_hits(self, bdd):
         a, b = bdd.var("a"), bdd.var("b")

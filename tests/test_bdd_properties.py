@@ -180,8 +180,8 @@ def test_sat_iter_exactly_the_models(expr):
 def test_gc_never_corrupts_registered_roots(expr):
     bdd = fresh()
     f = build(bdd, expr)
-    bdd.register_root("f", f)
-    build(bdd, ("and", ("var", "v0"), ("var", "v4")))  # garbage
-    bdd.gc()
+    with bdd.hold(lambda: [f]):
+        build(bdd, ("and", ("var", "v0"), ("var", "v4")))  # garbage
+        bdd.gc()
     for env in all_envs():
         assert bdd.eval(f, env) is brute(expr, env)

@@ -381,8 +381,7 @@ class TestDirectBuilder:
         table = model.tables[0]
         built = encode_table(mdd, variables, model, table)
         assert built == row_by_row(mdd, variables, table)
-        mdd.bdd.register_root("table", built)
-        mdd.bdd.reorder_now()
+        mdd.bdd.reorder_now(extra_roots=[built])
         assert encode_table(mdd, variables, model, table) == built
         assert row_by_row(mdd, variables, table) == built
 

@@ -130,14 +130,18 @@ def test_engine_input_flattens_under_a_portfolio():
 BAD_INPUTS = {
     "missing-file": ("nowhere.mv", PIF, "No such file"),
     "blifmv": ("bad.mv", PIF, "bad.mv:2:"),
-    "verilog": ("bad.v", PIF, "line 2: expected '@'"),
+    "verilog": ("bad.v", PIF, "bad.v:2: expected '@'"),
+    "verilog-compile": ("undeclared.v", PIF, "undeclared.v: module m: undeclared"),
     "pif": ("counter.mv", "ctl broken\n", "props.pif:1:"),
+    "pif-formula": ("counter.mv", "ctl p :: AG\n",
+                    "props.pif:1: unexpected end of formula"),
     "unknown-design": ("nosuchdesign", PIF, "unknown design 'nosuchdesign'"),
 }
 
 BAD_TEXT = {
     "bad.mv": ".model broken\n.latch\n.end\n",
     "bad.v": "module broken; reg q;\nalways q <= ;\nendmodule\n",
+    "undeclared.v": "module m; wire a; assign a = zz; endmodule\n",
     "counter.mv": BLIFMV,
 }
 

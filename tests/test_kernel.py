@@ -129,9 +129,7 @@ def test_reorder_preserves_semantics_and_canonicity(expr_list, rng):
     bdd = fresh()
     roots = [build(bdd, expr) for expr in expr_list]
     tables = [tt_build(expr) for expr in expr_list]
-    for name_i, f in enumerate(roots):
-        bdd.register_root(f"t.{name_i}", f)
-    bdd.reorder_now()
+    bdd.reorder_now(extra_roots=roots)
     for f, table in zip(roots, tables):
         assert_matches_table(bdd, f, table)
     rebuilt = [build(bdd, expr) for expr in expr_list]
@@ -146,10 +144,9 @@ def test_sat_count_and_sat_iter_agree_after_reorder(expr):
     empty after dynamic reordering)."""
     bdd = fresh()
     f = build(bdd, expr)
-    bdd.register_root("f", f)
     care = [bdd._var_of_name[n] for n in NAMES]
     before = bdd.sat_count(f, care)
-    bdd.reorder_now()
+    bdd.reorder_now(extra_roots=[f])
     assert bdd.sat_count(f, care) == before
     models = list(bdd.sat_iter(f, care))
     assert len(models) == before
@@ -160,21 +157,20 @@ def test_sat_count_and_sat_iter_agree_after_reorder(expr):
 def test_auto_reorder_kicks_in_and_keeps_answers():
     """An end-to-end smoke: arm auto_reorder low, run a workload with
     maybe_gc safe points, and check the reorder actually fired without
-    changing any registered root's brute-force semantics."""
+    changing any held root's brute-force semantics."""
     bdd = BDD(EngineConfig(auto_reorder=16))
     for name in NAMES:
         bdd.add_var(name)
     a, b, c, d, e = (bdd.var(n) for n in NAMES)
     f = bdd.or_(bdd.and_(a, bdd.not_(b)), bdd.xor(c, bdd.and_(d, e)))
     g = bdd.ite(bdd.xor(a, e), bdd.or_(b, d), bdd.and_(bdd.not_(c), b))
-    bdd.register_root("f", f)
-    bdd.register_root("g", g)
     expected_f = {tuple(env.items()): bdd.eval(f, env) for env in all_envs()}
     expected_g = {tuple(env.items()): bdd.eval(g, env) for env in all_envs()}
-    for _ in range(20):
-        junk = bdd.xor(f, g)
-        junk = bdd.and_(junk, bdd.or_(f, bdd.not_(g)))
-        bdd.maybe_gc(extra_roots=[junk])
+    with bdd.hold(lambda: [f, g]):
+        for _ in range(20):
+            junk = bdd.xor(f, g)
+            junk = bdd.and_(junk, bdd.or_(f, bdd.not_(g)))
+            bdd.maybe_gc(extra_roots=[junk])
     assert bdd.stats()["reorder_runs"] >= 1
     for env in all_envs():
         assert bdd.eval(f, env) == expected_f[tuple(env.items())]

@@ -14,9 +14,8 @@ Four families of pins:
   eviction on essentially every insert; in-flight operators must stay
   correct versus the truth-table oracle (an eviction must never
   invalidate indices an explicit stack still holds).
-* **Open-addressing table** — collision-heavy same-variable patterns,
-  growth/rehash under live references, and compaction with complement
-  edges, all cross-checked against the oracle.
+* **Open-addressing table** — collision-heavy same-variable patterns and
+  growth/rehash under live references, cross-checked against the oracle.
 """
 
 import pickle
@@ -430,8 +429,7 @@ def test_collision_heavy_same_var_patterns_rehash_and_stay_canonical():
 
 def test_growth_and_rehash_under_live_references():
     """Handles taken *before* node-array growth and table rehash must stay
-    valid and keep their function afterwards (indices are stable until an
-    explicit compaction)."""
+    valid and keep their function afterwards (node indices never move)."""
     n = 10
     bdd = BDD()
     for i in range(n):
@@ -459,54 +457,6 @@ def test_growth_and_rehash_under_live_references():
     assert rebuilt == early[0]
 
 
-def test_compaction_with_complement_edges_against_oracle():
-    n = 8
-    bdd = BDD()
-    for i in range(n):
-        bdd.add_var(f"c{i}")
-    v = [bdd.var(i) for i in range(n)]
-    # XOR-heavy functions guarantee complemented edges in the stored DAG.
-    f = bdd.xor(bdd.xor(v[0], v[3]), bdd.and_(v[5], bdd.xor(v[1], v[7])))
-    g = bdd.not_(bdd.or_(bdd.xor(v[2], v[4]), bdd.and_(v[6], f)))
-    tf = (
-        TruthTable.var(n, 0)
-        ^ TruthTable.var(n, 3)
-        ^ (TruthTable.var(n, 5) & (TruthTable.var(n, 1) ^ TruthTable.var(n, 7)))
-    )
-    tg = ~((TruthTable.var(n, 2) ^ TruthTable.var(n, 4)) | (TruthTable.var(n, 6) & tf))
-    bdd.register_root("f", f)
-    # Junk that dies at the safe point:
-    for i in range(n - 1):
-        bdd.and_(bdd.xor(v[i], v[i + 1]), g)
-    assert bdd.stats()["complement_edges"] > 0
-    live_before = len(bdd)
-
-    [g2] = bdd.compact(extra_roots=[g])
-    f2 = bdd._roots["f"]
-
-    st = bdd.stats()
-    assert st["compact_runs"] == 1
-    # Compaction is dense: no free slots, allocation == live.
-    assert st["allocated_nodes"] == len(bdd)
-    assert len(bdd) <= live_before
-    assert st["unique_used"] == len(bdd) - 2
-    # Remapped handles carry the exact same functions (oracle over all 256).
-    for a in range(1 << n):
-        env = {f"c{j}": bool((a >> j) & 1) for j in range(n)}
-        assert bdd.eval(f2, env) == tf.eval(a), a
-        assert bdd.eval(g2, env) == tg.eval(a), a
-    # Canonicity after the remap: rebuilding lands on the remapped handles.
-    # (Old literal handles are invalid after compaction — re-fetch them.)
-    w = [bdd.var(i) for i in range(n)]
-    f3 = bdd.xor(bdd.xor(w[0], w[3]), bdd.and_(w[5], bdd.xor(w[1], w[7])))
-    assert f3 == f2
-    # Stored-then-regular invariant still holds over the compacted columns.
-    for idx in range(1, bdd.stats()["allocated_nodes"] - 1):
-        if bdd._var[idx] < 0:
-            continue
-        assert bdd._hi[idx] & 1 == 0
-
-
 def test_unique_table_healthy_after_sifting_tombstones():
     """Sifting deletes and reinserts relabeled nodes, leaving tombstones;
     the table must stay canonical and its live counter exact."""
@@ -515,12 +465,11 @@ def test_unique_table_healthy_after_sifting_tombstones():
         bdd.add_var(f"s{i}")
     v = [bdd.var(i) for i in range(8)]
     f = bdd.or_(bdd.and_(v[0], v[4]), bdd.or_(bdd.and_(v[1], v[5]), bdd.and_(v[2], v[6])))
-    bdd.register_root("f", f)
-    bdd.reorder_now()
+    bdd.reorder_now(extra_roots=[f])
     st = bdd.stats()
     assert st["unique_used"] == len(bdd) - 2
     # Find-or-create still lands on existing nodes through any tombstones.
-    # Only the registered root survived the reorder's sweep — re-fetch the
+    # Only the held root survived the reorder's sweep — re-fetch the
     # literals and rebuild; canonicity must land back on ``f``.
     w = [bdd.var(i) for i in range(8)]
     rebuilt = bdd.or_(
@@ -566,9 +515,8 @@ def test_manager_pickles_and_restores_views():
     for i in range(6):
         bdd.add_var(f"p{i}")
     f = bdd.xor(bdd.var(0), bdd.and_(bdd.var(3), bdd.nvar(5)))
-    bdd.register_root("f", f)
     clone = pickle.loads(pickle.dumps(bdd))
-    g = clone._roots["f"]
+    g = f  # node indices survive the round trip
     for a in range(1 << 6):
         env = {f"p{j}": bool((a >> j) & 1) for j in range(6)}
         assert clone.eval(g, env) == bdd.eval(f, env)

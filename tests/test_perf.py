@@ -128,7 +128,6 @@ class TestDeepReachability:
         init = manager.true
         for x in reversed(xs):
             init = manager.and_(manager.nvar(x), init)
-        manager.register_root("trans", trans)
         x_cube = manager.cube(xs)
         y_to_x = {y: x for x, y in zip(xs, ys)}
 

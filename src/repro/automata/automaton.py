@@ -303,7 +303,8 @@ def _guard_vars(guard: Guard) -> Set[str]:
 
 @dataclass
 class AttachedMonitor:
-    """An automaton woven into a :class:`~repro.network.fsm.SymbolicFsm`.
+    """An automaton woven into a :class:`~repro.network.fsm.SymbolicFsm`
+    (``fsm`` is the product machine).
 
     Provides the symbolic edge sets the containment checker needs, plus
     decoding of the monitor state out of product-machine states.
@@ -342,13 +343,33 @@ class AttachedMonitor:
         return str(self.x.decode(assignment))
 
 
-def attach(fsm, automaton: Automaton, check: bool = True) -> AttachedMonitor:
-    """Attach ``automaton`` as a monitor on ``fsm`` (before build_transition).
+def _monitor_pair(fsm, automaton: Automaton) -> Tuple[MvVar, MvVar]:
+    """The monitor's present/next state pair on ``fsm``'s manager,
+    declared once per automaton name and states."""
+    from repro.network.encode import NEXT_SUFFIX  # repro.network imports us
 
-    Adds a state-variable pair and a transition conjunct
-    ``OR over edges (x=src & guard & y=dst)`` to the product.  With
-    ``check`` (default) the automaton must be deterministic; incomplete
-    automata are completed with a rejecting trap automatically.
+    name = f"{automaton.name}.state"
+    mdd = fsm.mdd
+    if name not in mdd:
+        return mdd.declare_pair(name, name + NEXT_SUFFIX, automaton.states)
+    x = mdd[name]
+    if (name in fsm.network.vars or any(l.x is x for l in fsm.latches)
+            or x.values != tuple(automaton.states)):
+        raise AutomatonError(
+            f"{automaton.name}: state variable {name!r} is already in use "
+            f"(values {list(x.values)}, states {automaton.states})")
+    return x, mdd[name + NEXT_SUFFIX]
+
+
+def attach(fsm, automaton: Automaton, check: bool = True) -> AttachedMonitor:
+    """Attach ``automaton`` as a monitor on ``fsm`` (paper §5.2).
+
+    The monitor's ``fsm`` is the product: ``fsm`` plus a state-variable
+    pair and the transition conjunct ``OR over edges (x=src & guard &
+    y=dst)``.  ``fsm`` itself is not changed, so several monitors share
+    one machine.  With ``check`` (default) the automaton must be
+    deterministic; incomplete automata are completed with a rejecting
+    trap automatically.
     """
     if check:
         problems = automaton.check_deterministic(fsm)
@@ -356,14 +377,15 @@ def attach(fsm, automaton: Automaton, check: bool = True) -> AttachedMonitor:
             raise AutomatonError("; ".join(problems))
         if automaton.check_complete(fsm):
             automaton = automaton.completed()
-    var_name = f"{automaton.name}.state"
-    x, y = fsm.add_state_var(var_name, automaton.states, automaton.initial)
+    x, y = _monitor_pair(fsm, automaton)
     bdd = fsm.bdd
+    init = bdd.and_(fsm.init, x.literal(list(automaton.initial)))
     trans = bdd.disj(
         bdd.conj(
             [x.literal(e.src), e.guard.to_bdd(fsm), y.literal(e.dst)]
         )
         for e in automaton.edges
     )
-    fsm.add_conjunct(trans, label=f"monitor:{automaton.name}")
-    return AttachedMonitor(automaton=automaton, fsm=fsm, x=x, y=y)
+    product = fsm.product(x, y, automaton.initial, init, trans,
+                          label=f"monitor:{automaton.name}")
+    return AttachedMonitor(automaton=automaton, fsm=product, x=x, y=y)

@@ -26,6 +26,7 @@ import shlex
 import sys
 from typing import Callable, Dict, List, Optional
 
+from repro.automata import FairnessSpec
 from repro.blifmv import write_file
 from repro.config import DEFAULT_CONFIG, FIELDS, EngineConfig, add_flags
 from repro.ctl import ModelChecker, parse_ctl
@@ -58,6 +59,7 @@ class HsisShell:
         self.flat = None
         self.fsm: Optional[SymbolicFsm] = None
         self.pif: Optional[PifFile] = None
+        self.fairness: Optional[FairnessSpec] = None  # see _bound_fairness
         self.reach = None
         self.simulator: Optional[Simulator] = None
         self.checker: Optional[ModelChecker] = None
@@ -109,13 +111,11 @@ class HsisShell:
 
     # -- design loading ---------------------------------------------------
 
-    def _make_fsm(self, flat) -> SymbolicFsm:
-        return SymbolicFsm(flat, config=self.config, tracer=self.tracer)
-
     def _install(self, flat) -> None:
         """Make ``flat`` the model every later command works on."""
         self.flat = flat
-        self.fsm = self._make_fsm(flat)
+        self.fsm = SymbolicFsm(flat, config=self.config, tracer=self.tracer)
+        self.fairness = None
         self.reach = None
         self.simulator = None
         self.checker = None
@@ -148,6 +148,8 @@ class HsisShell:
         if len(args) != 1:
             raise CliError("usage: read_pif <file>")
         self.pif = parse_pif_file(args[0])
+        self.fairness = None
+        self.checker = None
         return (
             f"loaded {len(self.pif.ctl_props)} CTL properties, "
             f"{len(self.pif.automata)} automata, "
@@ -209,13 +211,20 @@ class HsisShell:
         lines.append(fsm.stats.format())
         return "\n".join(lines)
 
-    def _make_checker(self) -> ModelChecker:
+    def _bound_fairness(self) -> Optional[FairnessSpec]:
+        """The PIF fairness on the loaded machine, bound once; its nodes
+        are roots for as long as the shell keeps the spec."""
         fsm = self._need_fsm()
-        fairness = self.pif.bind_fairness(fsm) if self.pif is not None else None
+        if self.fairness is None and self.pif is not None:
+            self.fairness = self.pif.bind_fairness(fsm)
+            fsm.bdd.keep(self.fairness.nodes)
+        return self.fairness
+
+    def _make_checker(self) -> ModelChecker:
         if self.checker is None:
             self.checker = ModelChecker(
-                fsm,
-                fairness=fairness,
+                self._need_fsm(),
+                fairness=self._bound_fairness(),
                 reached=self.reach.reached if self.reach is not None else None,
             )
         return self.checker
@@ -262,20 +271,20 @@ class HsisShell:
         """lc [name...] — language containment for PIF automata."""
         if self.pif is None or not self.pif.automata:
             raise CliError("no automata loaded; read_pif first")
-        if self.design is None:
-            raise CliError("no design loaded")
-        names = args if args else [a.name for a in self.pif.automata]
+        fsm = self._need_fsm()
+        fairness = self._bound_fairness()
         out = []
-        for name in names:
-            automaton = self.pif.automaton(name)
-            # Each LC run attaches a monitor, so it needs a fresh machine.
-            fsm = self._make_fsm(self.flat)
-            fairness = self.pif.bind_fairness(fsm)
-            result = check_containment(fsm, automaton, system_fairness=fairness)
+        for name in args or [a.name for a in self.pif.automata]:
+            result = check_containment(fsm, self.pif.automaton(name),
+                                       system_fairness=fairness)
             verdict = "passed" if result.holds else "FAILED"
             out.append(f"lc {name}: {verdict} ({result.seconds:.2f}s)")
             if not result.holds:
                 out.append(format_lc_report(result))
+            # The product goes with its result: collect its nodes, as a
+            # machine of its own would have taken them along.
+            del result
+            fsm.bdd.gc()
         return "\n".join(out)
 
     def cmd_debug_mc(self, args: List[str]) -> str:
@@ -668,7 +677,8 @@ def _check_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-property deadline; overrunning checks report as timeout",
+        help="per-property deadline (with --portfolio, the whole list's); "
+             "overrunning checks report as timeout",
     )
     parser.add_argument(
         "--stats", action="store_true",

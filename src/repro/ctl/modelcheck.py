@@ -339,26 +339,22 @@ class ModelChecker:
         good = self.eval(formula.sub)
         bad_depth: List[int] = []
 
-        def observer(depth: int, frontier: int) -> None:
-            if bdd.diff(bdd.and_(frontier, self.space), good) != bdd.false:
-                bad_depth.append(depth)
-                if self.stats.tracer.enabled:
-                    self.stats.tracer.instant(
-                        "mc.early_fail", cat="mc", depth=depth
-                    )
-                raise _EarlyFailure()
+        def bad_frontier(depth: int, frontier: int, reached: int) -> bool:
+            if bdd.diff(bdd.and_(frontier, self.space), good) == bdd.false:
+                return False
+            bad_depth.append(depth)
+            if self.stats.tracer.enabled:
+                self.stats.tracer.instant("mc.early_fail", cat="mc", depth=depth)
+            return True
 
-        try:
-            result = self.fsm.reachable(observer=observer)
-            reached = result.reached
-            self._reached = reached
-            violated = bdd.diff(bdd.and_(reached, self.space), good) != bdd.false
-        except _EarlyFailure:
-            violated = True
+        reached = self.fsm.reachable(observer=bad_frontier).reached
+        violated = bool(bad_depth) or (
+            bdd.diff(bdd.and_(reached, self.space), good) != bdd.false)
         if violated:
             sat = bdd.false
             failing = self.fsm.init
         else:
+            self._reached = reached
             # Every reachable state only visits reachable states, all of
             # which satisfy the body, so the whole reached set models AG p.
             sat = bdd.and_(reached, self.space)
@@ -372,10 +368,6 @@ class ModelChecker:
             used_fast_path=True,
             counterexample_depth=bad_depth[0] if bad_depth else None,
         )
-
-
-class _EarlyFailure(Exception):
-    pass
 
 
 def check_ctl(

@@ -28,10 +28,7 @@ def lc_counterexample(result: LcResult) -> Trace:
         raise ValueError("language containment holds; there is no error trace")
     graph = result.graph
     scc = result.fair_scc
-    rings = result.reach.rings
-    if not rings:
-        rings = result.fsm.reachable().rings
-    prefix_minterms = extract_shortest_path(graph, rings, scc.states)
+    prefix_minterms = extract_shortest_path(graph, result.reach.rings, scc.states)
     if prefix_minterms is None:
         raise AssertionError("fair SCC not covered by reachability rings")
     anchor = prefix_minterms[-1]
@@ -41,8 +38,7 @@ def lc_counterexample(result: LcResult) -> Trace:
     cycle = decode_path(fsm, cycle_minterms)
     if cycle:
         cycle[0].note = "(cycle start)"
-    trace = Trace(prefix=prefix, cycle=cycle)
-    return trace
+    return Trace(prefix=prefix, cycle=cycle)
 
 
 def format_lc_report(result: LcResult, max_width: int = 100) -> str:

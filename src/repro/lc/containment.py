@@ -5,7 +5,8 @@ product machine: attach the (deterministic, completed) property automaton
 as a monitor, complement its edge-Rabin acceptance into Streett
 constraints, and search for a reachable cycle that is fair for the system
 fairness constraints *and* the complemented acceptance.  A fair cycle is
-a counterexample; none means containment holds.
+a counterexample; none means containment holds.  The product is a view
+that shares the system machine's encoding and leaves the machine as it is.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from repro.network.fsm import ReachResult, SymbolicFsm
 
 @dataclass
 class LcResult:
-    """Outcome of one language-containment check."""
+    """Outcome of one language-containment check on the product ``fsm``
+    (``reach`` ends at the early-failure depth if ``early_failure``)."""
 
     automaton: Automaton
     holds: bool
@@ -45,12 +47,6 @@ class LcResult:
         return not self.holds
 
 
-class _EarlyStop(Exception):
-    def __init__(self, scc: FairScc, depth: int):
-        self.scc = scc
-        self.depth = depth
-
-
 def check_containment(
     system: Union[Model, SymbolicFsm],
     automaton: Automaton,
@@ -62,98 +58,73 @@ def check_containment(
     """Check that every fair behaviour of ``system`` is accepted by
     ``automaton``.
 
-    ``system`` is a flat model (a fresh machine is encoded) or an
-    un-built :class:`SymbolicFsm` (so several monitors could share one
-    machine).  With ``early_fail`` the doomed-region check of
-    :mod:`repro.lc.earlyfail` runs every ``early_fail_interval``
-    reachability steps.
+    ``system`` is a flat model (a machine is encoded for it) or any
+    :class:`SymbolicFsm`, built or reached or not; the check runs on the
+    product of the machine and the monitor, reported as ``fsm`` of the
+    result, and leaves the machine unchanged.  With ``early_fail`` the
+    doomed-region check of :mod:`repro.lc.earlyfail` runs every
+    ``early_fail_interval`` reachability steps, and a violation it finds
+    ends reachability there.
     """
     fsm = system if isinstance(system, SymbolicFsm) else SymbolicFsm(system)
-    with fsm.stats.phase("lc") as timer:
-        result = _check_containment(
-            fsm, automaton, system_fairness, quantify_method,
-            early_fail, early_fail_interval,
-        )
-    result.seconds = timer.seconds
-    return result
-
-
-def _check_containment(
-    fsm: SymbolicFsm,
-    automaton: Automaton,
-    system_fairness: Optional[FairnessSpec],
-    quantify_method: str,
-    early_fail: bool,
-    early_fail_interval: int,
-) -> LcResult:
     bdd = fsm.bdd
+    tracer = fsm.stats.tracer
     spec = system_fairness if system_fairness is not None else FairnessSpec()
-    # The caller's constraint handles must survive the GC/reorder safe
-    # points inside build_transition.
-    with bdd.hold(spec.nodes):
-        monitor = attach(fsm, automaton)
-        fsm.build_transition(method=quantify_method)
-    graph = FairGraph(fsm)
+    with fsm.stats.phase("lc") as timer:
+        # The caller's constraint handles must survive the GC/reorder
+        # safe points inside build_transition.
+        with bdd.hold(spec.nodes):
+            monitor = attach(fsm, automaton)
+            product = monitor.fsm
+            product.build_transition(method=quantify_method)
+        graph = FairGraph(product)
 
-    sys_norm = spec.normalize(bdd, bdd.true)
-    property_streett = complement_rabin(monitor.rabin_pairs_bdd())
-    combined = FairnessSpec(list(spec) + list(property_streett)).normalize(
-        bdd, bdd.true
-    )
+        sys_norm = spec.normalize(bdd, bdd.true)
+        property_streett = complement_rabin(monitor.rabin_pairs_bdd())
+        combined = FairnessSpec(list(spec) + list(property_streett)).normalize(
+            bdd, bdd.true
+        )
 
-    doomed = doomed_states(monitor.automaton)
-    doomed_bdd = monitor.state_bdd(doomed) if doomed else bdd.false
-    reached_acc = [fsm.init]
-    doomed_hit = [False]
+        doomed = doomed_states(monitor.automaton)
+        doomed_bdd = monitor.state_bdd(doomed) if doomed else bdd.false
+        early_scc: Optional[FairScc] = None
+        doomed_hit = False
 
-    def observer(depth: int, frontier: int) -> None:
-        reached_acc[0] = bdd.or_(reached_acc[0], frontier)
-        if not early_fail or doomed_bdd == bdd.false:
-            return
-        if bdd.and_(frontier, doomed_bdd) == bdd.false:
-            return
-        first_hit = not doomed_hit[0]
-        doomed_hit[0] = True
-        # Check immediately when the doomed region is first entered, then
-        # periodically (most bugs surface within the first few steps, §5.4).
-        if not first_hit and depth % early_fail_interval != 0:
-            return
-        if fsm.stats.tracer.enabled:
-            fsm.stats.tracer.instant(
-                "lc.early_check", cat="lc", depth=depth, first_hit=first_hit
-            )
-        scc = early_violation(graph, sys_norm, reached_acc[0], doomed_bdd)
-        if scc is not None:
-            if fsm.stats.tracer.enabled:
-                fsm.stats.tracer.instant("lc.early_stop", cat="lc", depth=depth)
-            raise _EarlyStop(scc, depth)
+        def early_stop(depth: int, frontier: int, reached: int) -> bool:
+            nonlocal doomed_hit, early_scc
+            if bdd.and_(frontier, doomed_bdd) == bdd.false:
+                return False
+            first_hit, doomed_hit = not doomed_hit, True
+            # Check immediately when the doomed region is first entered,
+            # then periodically (most bugs surface within the first few
+            # steps, §5.4).
+            if not first_hit and depth % early_fail_interval != 0:
+                return False
+            if tracer.enabled:
+                tracer.instant("lc.early_check", cat="lc", depth=depth,
+                               first_hit=first_hit)
+            early_scc = early_violation(graph, sys_norm, reached, doomed_bdd)
+            if early_scc is not None and tracer.enabled:
+                tracer.instant("lc.early_stop", cat="lc", depth=depth)
+            return early_scc is not None
 
-    # Reachability, the early checks and the search hold the combined
-    # fairness (which covers the caller's), the doomed region and the
-    # reached set.
-    with bdd.hold(lambda: [*combined.nodes(), doomed_bdd, reached_acc[0]]):
-        try:
-            reach = fsm.reachable(observer=observer)
-        except _EarlyStop as stop:
-            # Rebuild the onion rings up to the stop depth for the
-            # debugger; the witness SCC is held across that second pass.
-            scc, early = stop.scc, True
-            with bdd.hold(lambda: [scc.states, scc.trans,
-                                   *(e for e, _label in scc.required_edges)]):
-                reach = fsm.reachable(max_iterations=stop.depth + 1)
-        else:
-            scc, early = find_fair_scc(graph, combined, reach.reached), False
+        observer = early_stop if early_fail and doomed_bdd != bdd.false else None
+        # Reachability, the early checks and the search hold the combined
+        # fairness (which covers the caller's) and the doomed region.
+        with bdd.hold(lambda: [*combined.nodes(), doomed_bdd]):
+            reach = product.reachable(observer=observer)
+            scc = early_scc or find_fair_scc(graph, combined, reach.reached)
     return LcResult(
         automaton=automaton,
         holds=scc is None,
         fair_scc=scc,
         monitor=monitor,
-        fsm=fsm,
+        fsm=product,
         graph=graph,
         reach=reach,
         fairness=combined,
-        seconds=0.0,
-        early_failure=early,
+        seconds=timer.seconds,
+        early_failure=early_scc is not None,
     )
 
 

@@ -34,7 +34,8 @@ function that holds handles across a callee with its own safe points
 declares them with :meth:`~repro.bdd.manager.BDD.hold`, so a collection
 forced anywhere inside the search keeps everything the open holds still
 need, including the callers' unrooted arguments.  The graph's own
-relation, cubes and space are rooted for as long as the graph lives.
+relation and space, and the machine's image cubes, are rooted for as
+long as their owners live.
 """
 
 from __future__ import annotations
@@ -48,50 +49,45 @@ from repro.bdd.ops import minterm
 
 
 class FairGraph:
-    """Symbolic graph view of a :class:`~repro.network.fsm.SymbolicFsm`.
-
-    Bundles the rename maps and quantification cubes needed for
-    restricted forward/backward images over arbitrary sub-relations.
-    """
+    """Symbolic graph view of a :class:`~repro.network.fsm.SymbolicFsm`:
+    restricted forward/backward images over arbitrary sub-relations,
+    through the machine's own image operators."""
 
     def __init__(self, fsm, trans: Optional[int] = None):
         self.fsm = fsm
         self.bdd: BDD = fsm.bdd
         self.trans: int = fsm.require_transition() if trans is None else trans
-        self._x_cube = fsm.x_cube()
-        self._y_cube = fsm.y_cube()
-        self._x_to_y = fsm.x_to_y()
-        self._y_to_x = fsm.y_to_x()
+        # The machine's image cubes are built before the space: the
+        # allocation order fixes node ids, and with them the computed
+        # cache's collisions and every exact op count.
+        fsm.x_cube()
+        fsm.y_cube()
         self.space: int = fsm.state_domain()
         self.bdd.keep(self.live_handles)
 
     def live_handles(self) -> List[int]:
-        """The graph's fixed nodes: relation, quantification cubes, space."""
-        return [self.trans, self._x_cube, self._y_cube, self.space]
+        """The graph's fixed nodes: relation and space."""
+        return [self.trans, self.space]
 
     # -- primitive images ------------------------------------------------
 
     def post(self, states: int, trans: Optional[int] = None) -> int:
         """Successor states of ``states`` under ``trans``."""
-        t = self.trans if trans is None else trans
-        nxt = self.bdd.and_exists(t, states, self._x_cube)
-        return self.bdd.rename(nxt, self._y_to_x)
+        return self.fsm.image(states, self.trans if trans is None else trans)
 
     def pre(self, states: int, trans: Optional[int] = None) -> int:
         """Predecessor states of ``states`` under ``trans``."""
-        t = self.trans if trans is None else trans
-        primed = self.bdd.rename(states, self._x_to_y)
-        return self.bdd.and_exists(t, primed, self._y_cube)
+        return self.fsm.preimage(states, self.trans if trans is None else trans)
 
     def restrict(self, trans: int, states: int) -> int:
         """Edges with both endpoints inside ``states``."""
         bdd = self.bdd
-        primed = bdd.rename(states, self._x_to_y)
+        primed = bdd.rename(states, self.fsm.x_to_y())
         return bdd.and_(bdd.and_(trans, states), primed)
 
     def edge_sources(self, edges: int, trans: int) -> int:
         """States with an outgoing edge in ``edges`` (within ``trans``)."""
-        return self.bdd.exist(self._y_cube, self.bdd.and_(trans, edges))
+        return self.bdd.exist(self.fsm.y_cube(), self.bdd.and_(trans, edges))
 
     def sources_within(self, edges: int, region: int) -> int:
         """States of ``region`` with an edge of ``edges`` into ``region``."""

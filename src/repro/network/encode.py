@@ -80,12 +80,6 @@ class EncodedNetwork:
     def bdd(self) -> BDD:
         return self.mdd.bdd
 
-    def x_vars(self) -> List[MvVar]:
-        return [l.x for l in self.latches]
-
-    def y_vars(self) -> List[MvVar]:
-        return [l.y for l in self.latches]
-
     def nonstate_names(self) -> List[str]:
         state = {l.name for l in self.latches}
         state |= {l.name + NEXT_SUFFIX for l in self.latches}

@@ -13,22 +13,23 @@ wraps an :class:`~repro.network.encode.EncodedNetwork` and provides:
 * state counting and enumeration in terms of the original multi-valued
   latch values.
 
-Monitors (property automata) may be attached *before* the transition
-relation is built; their state variables then become part of the product
-machine (paper §5.2's language-containment product).
+After encode a machine's latches, conjuncts and initial states never
+change.  A property monitor (paper §5.2's language-containment product)
+is a :meth:`SymbolicFsm.product`, a new machine on the same encoding,
+so any number of monitors share one machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.bdd.manager import BDD, BddError
+from repro.bdd.manager import BDD
 from repro.bdd.mdd import MddManager, MvVar
 from repro.blifmv.ast import Model
 from repro.blifmv.hierarchy import Elaboration
 from repro.config import DEFAULT_CONFIG, EngineConfig
-from repro.network.encode import NEXT_SUFFIX, EncodedNetwork, LatchVars, encode
+from repro.network.encode import EncodedNetwork, LatchVars, encode
 from repro.network.quantify import (
     Conjunct,
     ImageSchedule,
@@ -55,7 +56,8 @@ class ReachResult:
 
 
 class SymbolicFsm:
-    """The product machine of a flat BLIF-MV model (plus attached monitors)."""
+    """The product machine of a flat BLIF-MV model, or of such a machine
+    and a property monitor (:meth:`product`)."""
 
     def __init__(
         self,
@@ -83,32 +85,55 @@ class SymbolicFsm:
                 elaboration=elaboration,
                 stats=self.stats,
             )
-        self.mdd: MddManager = self.network.mdd
-        self.bdd: BDD = self.mdd.bdd
+        self._start(list(self.network.latches), list(self.network.conjuncts),
+                    self.network.init)
         self.stats.bdd = self.bdd
         self.bdd.tracer = self.stats.tracer
-        self.latches: List[LatchVars] = list(self.network.latches)
-        self.conjuncts: List[Conjunct] = list(self.network.conjuncts)
-        self.init: int = self.network.init
+
+    def _start(self, latches: List[LatchVars], conjuncts: List[Conjunct],
+               init: int) -> None:
+        """Fix the machine's latches, conjuncts and initial states."""
+        self.mdd: MddManager = self.network.mdd
+        self.bdd: BDD = self.mdd.bdd
+        self.latches = latches
+        self.conjuncts = conjuncts
+        self.init = init
         self.trans: Optional[int] = None
         self.quantify_result: Optional[QuantifyResult] = None
-        self._frozen = False
-        # Partitioned-image schedule, planned once and replayed every
-        # iteration; invalidated whenever the conjunct pool changes.
+        # Partitioned-image schedule, planned once, replayed every iteration.
         self._part_plan: Optional[ImageSchedule] = None
+        # Image cubes and rename maps, built on first use.
+        self._x_cube: Optional[int] = None
+        self._y_cube: Optional[int] = None
+        self._x_to_y: Optional[Dict[int, int]] = None
+        self._y_to_x: Optional[Dict[int, int]] = None
         # Watermark gating full GC sweeps inside reachable(); see there.
         self._hard_gc_rearm = 0
-        # The last completed reachable() run, whose sets the machine holds.
+        # The reachable() run whose sets the machine holds: the last
+        # converged one, else the last one.
         self._last_reach: Optional[ReachResult] = None
         self.bdd.keep(self.live_handles)
 
+    def product(self, x: MvVar, y: MvVar, reset: Sequence[str], init: int,
+                relation: int, label: str) -> "SymbolicFsm":
+        """This machine with the latch ``x``/``y`` (reset values
+        ``reset``), its conjunct ``relation`` and the initial states
+        ``init``: a new machine on this one's encoding, manager and
+        statistics (see :func:`repro.automata.attach`)."""
+        product = object.__new__(SymbolicFsm)
+        product.stats, product.network = self.stats, self.network
+        latch = LatchVars(x.name, x, y, input_wire=y.name, reset=tuple(reset))
+        conjunct = Conjunct(relation, frozenset(self.bdd.support(relation)), label)
+        product._start([*self.latches, latch], [*self.conjuncts, conjunct], init)
+        return product
+
     def live_handles(self) -> List[int]:
         """Every handle the machine holds long-term: init, the conjuncts,
-        the relation, and the rings and reached set of its last completed
-        :meth:`reachable` run."""
+        the relation, the image cubes, and the rings and reached set of
+        its last converged :meth:`reachable` run, else of its last run."""
         handles = [self.init, *(c.node for c in self.conjuncts)]
-        if self.trans is not None:
-            handles.append(self.trans)
+        handles.extend(h for h in (self.trans, self._x_cube, self._y_cube)
+                       if h is not None)
         if self._last_reach is not None:
             handles.append(self._last_reach.reached)
             handles.extend(self._last_reach.rings)
@@ -126,12 +151,6 @@ class SymbolicFsm:
         """Look up any encoded variable (state, next-state or wire)."""
         return self.mdd[name]
 
-    def x_vars(self) -> List[MvVar]:
-        return [l.x for l in self.latches]
-
-    def y_vars(self) -> List[MvVar]:
-        return [l.y for l in self.latches]
-
     def x_bits(self) -> List[int]:
         return [b for l in self.latches for b in l.x.bits]
 
@@ -139,53 +158,28 @@ class SymbolicFsm:
         return [b for l in self.latches for b in l.y.bits]
 
     def x_cube(self) -> int:
-        return self.bdd.cube(self.x_bits())
+        if self._x_cube is None:
+            self._x_cube = self.bdd.cube(self.x_bits())
+        return self._x_cube
 
     def y_cube(self) -> int:
-        return self.bdd.cube(self.y_bits())
+        if self._y_cube is None:
+            self._y_cube = self.bdd.cube(self.y_bits())
+        return self._y_cube
 
     def x_to_y(self) -> Dict[int, int]:
-        return self.mdd.rename_map((l.x, l.y) for l in self.latches)
+        if self._x_to_y is None:
+            self._x_to_y = self.mdd.rename_map((l.x, l.y) for l in self.latches)
+        return self._x_to_y
 
     def y_to_x(self) -> Dict[int, int]:
-        return self.mdd.rename_map((l.y, l.x) for l in self.latches)
+        if self._y_to_x is None:
+            self._y_to_x = self.mdd.rename_map((l.y, l.x) for l in self.latches)
+        return self._y_to_x
 
     def state_domain(self) -> int:
         """Conjunction of present-state domain constraints (valid codes)."""
         return self.mdd.domain_constraint(l.x for l in self.latches)
-
-    # ------------------------------------------------------------------
-    # Monitor attachment (product machine construction, paper §5.2)
-    # ------------------------------------------------------------------
-
-    def add_state_var(
-        self, name: str, values: Sequence[str], initial: Iterable[str]
-    ) -> Tuple[MvVar, MvVar]:
-        """Declare an extra latch pair (used by property monitors).
-
-        Must be called before :meth:`build_transition`.  Returns the
-        present/next :class:`MvVar` pair.  The initial-state set is
-        conjoined into ``init``.
-        """
-        if self._frozen:
-            raise BddError("cannot add state variables after build_transition()")
-        x, y = self.mdd.declare_pair(name, name + NEXT_SUFFIX, values)
-        self.latches.append(
-            LatchVars(name=name, x=x, y=y, input_wire=name + NEXT_SUFFIX,
-                      reset=tuple(initial))
-        )
-        self.init = self.bdd.and_(self.init, x.literal(list(initial)))
-        self._part_plan = None
-        return x, y
-
-    def add_conjunct(self, node: int, label: str) -> None:
-        """Add a transition-relation conjunct (monitor transition table)."""
-        if self._frozen:
-            raise BddError("cannot add conjuncts after build_transition()")
-        self.conjuncts.append(
-            Conjunct(node=node, support=frozenset(self.bdd.support(node)), label=label)
-        )
-        self._part_plan = None
 
     # ------------------------------------------------------------------
     # Transition relation
@@ -212,7 +206,6 @@ class SymbolicFsm:
             )
         self.trans = result.node
         self.quantify_result = result
-        self._frozen = True
         return self.trans
 
     def require_transition(self) -> int:
@@ -245,22 +238,16 @@ class SymbolicFsm:
         schedule is planned once and replayed every BFS iteration.  The
         frontier slot is planned with the conservative support
         ``x_bits`` (a superset of any concrete frontier's support, which
-        keeps early quantification sound).  The cache is invalidated by
-        :meth:`add_conjunct` / :meth:`add_state_var`.
+        keeps early quantification sound).
         """
         if self._part_plan is None:
-            keep = set(self.y_bits())
-            quantify = set()
-            for c in self.conjuncts:
-                quantify |= set(c.support)
-            quantify |= set(self.x_bits())
-            quantify -= keep
+            quantify = self.nonstate_bits() | set(self.x_bits())
             supports = [c.support for c in self.conjuncts]
             supports.append(frozenset(self.x_bits()))
             # Instance conjunct groups (shared-shape encode) cluster each
-            # instance's private wires inside the instance first; monitor
-            # conjuncts and the frontier slot are appended after the
-            # network's conjuncts, so the recorded indices stay valid.
+            # instance's private wires inside the instance first; a
+            # product's monitor conjunct and the frontier slot come after
+            # the network's conjuncts, so the recorded indices stay valid.
             with self.stats.tracer.span(
                 "quantify.plan", cat="quantify",
                 method="greedy", conjuncts=len(self.conjuncts),
@@ -307,18 +294,20 @@ class SymbolicFsm:
     def reachable(
         self,
         init: Optional[int] = None,
-        max_iterations: Optional[int] = None,
         partitioned: bool = False,
-        observer: Optional[Callable[[int, int], None]] = None,
+        observer: Optional[Callable[[int, int, int], bool]] = None,
     ) -> ReachResult:
         """Breadth-first reachable states from ``init`` (default: reset states).
 
         ``rings[k]`` holds exactly the states first reached at depth ``k``
         (the BFS onion rings) — the debuggers walk these backwards to
         produce shortest counterexample prefixes.  ``observer(depth,
-        frontier)`` is called once per iteration (used by early failure
-        detection).  ``max_iterations`` bounds the search; ``converged``
-        tells whether a fixpoint was reached.
+        frontier, reached)`` is called once per iteration, before the
+        frontier's image (early failure detection); a true return ends
+        the search there, with the rings up to ``depth``.  ``converged``
+        tells whether a fixpoint was reached; a stopped search's sets are
+        rooted only while the machine has no converged one
+        (:meth:`live_handles`).
         """
         bdd = self.bdd
         tracer = self.stats.tracer
@@ -335,10 +324,8 @@ class SymbolicFsm:
         hold = bdd.hold(lambda: [reached, frontier, *rings])
         with self.stats.phase("reach") as timer, hold:
             while frontier != bdd.false:
-                if max_iterations is not None and iterations >= max_iterations:
+                if observer is not None and observer(iterations, frontier, reached):
                     break
-                if observer is not None:
-                    observer(iterations, frontier)
                 step = (
                     self.image_partitioned(frontier)
                     if partitioned
@@ -382,14 +369,16 @@ class SymbolicFsm:
                     freed = bdd.maybe_gc()
                     if freed:
                         self.stats.bump("auto_gc_freed", freed)
-        self._last_reach = ReachResult(
+        result = ReachResult(
             reached=reached,
             rings=rings,
             iterations=iterations,
             converged=converged,
             seconds=timer.seconds,
         )
-        return self._last_reach
+        if converged or self._last_reach is None or not self._last_reach.converged:
+            self._last_reach = result
+        return result
 
     # ------------------------------------------------------------------
     # State inspection

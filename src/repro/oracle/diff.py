@@ -410,6 +410,8 @@ def run_case(
             )
 
     # -- language containment ------------------------------------------
+    # A machine of its own, not a product of ``fsm``: sharing fsm's
+    # manager would raise the trial's peak live nodes.
     with stats.phase("fuzz.lc"):
         automaton = automaton_from_desc(case["automaton"])
         lc_fsm = SymbolicFsm(

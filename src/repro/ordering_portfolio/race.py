@@ -29,7 +29,8 @@ from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.ordering_portfolio.cache import DEFAULT_ORDERS_DIR, OrderCache
 from repro.ordering_portfolio.features import design_digest
 from repro.ordering_portfolio.heuristics import candidate_orders
-from repro.parallel.check import PropertyVerdict, check_properties, require_ok
+from repro.parallel.check import (PropertyVerdict, check_properties,
+                                  check_within, require_ok)
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import STATUS_OK, ResultEnvelope, Task, TaskResult
 from repro.perf import EngineStats
@@ -110,9 +111,9 @@ def run_portfolio_check(
     digest — check under that order, no race.  Cold path: race the
     candidates, cancel losers on the first success, persist the winner.
     Either way the verdicts are exactly the serial ones, and every
-    machine is built under ``config``; ``timeout`` is each candidate's
-    deadline and each property's on the warm and fallback paths
-    (:func:`~repro.parallel.check.check_properties`).  Returns
+    machine is built under ``config``; ``timeout`` bounds the whole
+    property list: each candidate's, and the one checking task's on the
+    warm and fallback paths.  Returns
     ``(verdicts, provenance)`` where provenance records the source
     (``cache`` / ``race`` / ``fallback``), winning heuristic, candidate
     count and race margin; the same facts land in ``stats``
@@ -135,10 +136,9 @@ def run_portfolio_check(
             "portfolio.cache_hit", cat="portfolio",
             design=digest[:12], heuristic=entry["heuristic"],
         )
-        verdicts = check_properties(
-            model, properties, fairness_decls, stats=stats, timeout=timeout,
-            order=entry["order"], config=config,
-        )
+        verdicts = check_within(model, properties, fairness_decls,
+                                deadline=timeout, stats=stats,
+                                order=entry["order"], config=config)
         return verdicts, _provenance(stats, "cache", entry["heuristic"])
 
     stats.bump("portfolio_cache_misses")
@@ -191,10 +191,9 @@ def run_portfolio_check(
         stats.tracer.instant(
             "portfolio.fallback", cat="portfolio", design=digest[:12],
         )
-        verdicts = check_properties(
-            model, properties, fairness_decls, stats=stats, timeout=timeout,
-            order=candidates[0][1], config=config,
-        )
+        verdicts = check_within(model, properties, fairness_decls,
+                                deadline=timeout, stats=stats,
+                                order=candidates[0][1], config=config)
         return verdicts, _provenance(
             stats, "fallback", candidates[0][0], len(candidates))
 

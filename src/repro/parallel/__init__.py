@@ -32,7 +32,7 @@ import importlib
 # ``check``, ``pool`` and ``sweep``.
 _SOURCES = {
     "atomic": "atomic_write_json",
-    "check": "PropertyVerdict check_properties",
+    "check": "PropertyVerdict check_properties check_within",
     "pool": "PoolError WorkerPool default_jobs",
     "sweep": "run_sweep_parallel",
     "tasks": (

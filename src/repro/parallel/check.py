@@ -11,7 +11,8 @@ per-property ``timeout``, each property is instead a
 a machine of its own: verdicts are exactly the in-process ones, and a
 property past its deadline is reaped and reported as ``timeout``.  A
 property that raises, or whose worker fails, gets an explicit ``ERROR``
-verdict (``holds=None``); none is silently dropped.
+verdict (``holds=None``); none is silently dropped.  :func:`check_within`
+(the portfolio's warm and fallback checks) puts one deadline on the list.
 
 :func:`profile_model` is the encode -> build_tr -> reach -> MC body of
 ``hsis profile`` and the server's profile job; it and the shell's serial
@@ -156,38 +157,66 @@ def check_properties(
     ``config``, and under the variable ``order`` if one is given.
     """
     properties = list(properties)
-    fairness_decls = tuple(fairness_decls)
+    if timeout is None and (jobs <= 1 or len(properties) < 2):
+        return check_within(model, properties, fairness_decls, stats=stats,
+                            order=order, config=config)
+    return _check_in_pool(model, [[prop] for prop in properties],
+                          fairness_decls, order, config, stats, jobs,
+                          timeout, retries)
+
+
+def check_within(model, properties: Sequence[Tuple[str, Formula]],
+                 fairness_decls=(), deadline: Optional[float] = None,
+                 stats: Optional[EngineStats] = None, order=None,
+                 config: EngineConfig = DEFAULT_CONFIG,
+                 ) -> List[PropertyVerdict]:
+    """One machine checks every property: here, or, with ``deadline``
+    (seconds) bounding the whole list, in one pool task with no retry,
+    where an overrun marks every property ``timeout``.  Either way a
+    property that errors gets its own verdict."""
+    properties = list(properties)
+    if deadline is not None:
+        return _check_in_pool(model, [properties], fairness_decls, order,
+                              config, stats, 1, deadline, 0)
+    result = _check_here(model, properties, fairness_decls, order, config,
+                         stats is not None and stats.tracer.enabled)
+    if stats is not None:
+        stats.merge(result.stats)
+    return result.value
+
+
+def _check_in_pool(model, groups, fairness_decls, order, config: EngineConfig,
+                   stats: Optional[EngineStats], jobs: int,
+                   timeout: Optional[float], retries: int,
+                   ) -> List[PropertyVerdict]:
+    """Each group of properties as one pool task under ``timeout``, in
+    order; a task that fails gives each of its properties its status."""
     order = list(order) if order is not None else None
     trace = stats is not None and stats.tracer.enabled
-    if timeout is None and (jobs <= 1 or len(properties) < 2):
-        result = _check_here(model, properties, fairness_decls, order, config, trace)
-        if stats is not None:
-            stats.merge(result.stats)
-        return result.value
     tasks = [
         Task(
-            task_id=f"mc[{name}]",
+            task_id=f"mc[{','.join(name for name, _formula in group)}]",
             fn=_check_here,
-            args=(model, [(name, formula)], fairness_decls, order, config,
-                  trace),
+            args=(model, group, tuple(fairness_decls), order, config, trace),
             timeout=timeout,
         )
-        for name, formula in properties
+        for group in groups
     ]
     pool = WorkerPool(
         jobs, timeout=timeout, retries=retries,
         tracer=stats.tracer if stats is not None else None,
     )
     verdicts = []
-    for (name, formula), envelope in zip(properties, pool.run(tasks)):
+    for group, envelope in zip(groups, pool.run(tasks)):
         if stats is not None and envelope.stats is not None:
             stats.merge(envelope.stats)
         if envelope.ok:
             verdicts.extend(envelope.value)
         else:
-            verdicts.append(
+            verdicts.extend(
                 _failed(name, formula, envelope.status, envelope.error,
                         envelope.seconds)
+                for name, formula in group
             )
     return verdicts
 

@@ -136,12 +136,9 @@ def check_refinement(
 
     impl_latches, ix, iy, ix2y, iy2x = _side_bits(fsm, IMPL)
     spec_latches, sx, sy, sx2y, sy2x = _side_bits(fsm, SPEC)
-    t_impl = fsm.bdd.true
-    t_spec = fsm.bdd.true
     t_impl = _side_transition(fsm, IMPL, set(ix) | set(iy))
     t_spec = _side_transition(fsm, SPEC, set(sx) | set(sy))
     fsm.trans = bdd.and_(t_impl, t_spec)  # for callers wanting the product
-    fsm._frozen = True
 
     # H0: equal observable valuations (may-semantics per value).
     relation = bdd.and_(

@@ -140,19 +140,19 @@ class TestAttach:
 
     def test_attach_adds_state_variable(self):
         fsm = fresh_fsm()
-        monitor = attach(fsm, self._mutex_automaton())
-        fsm.build_transition()
-        state = fsm.pick_state(fsm.init)
+        product = attach(fsm, self._mutex_automaton()).fsm
+        product.build_transition()
+        state = product.pick_state(product.init)
         assert state["watch.state"] == "A"
 
     def test_monitor_tracks_system(self):
         fsm = fresh_fsm()
-        monitor = attach(fsm, self._mutex_automaton())
-        fsm.build_transition()
+        product = attach(fsm, self._mutex_automaton()).fsm
+        product.build_transition()
         # after one step out=1 (s toggles to 1), monitor must be in B after two
-        img1 = fsm.image(fsm.init)
-        img2 = fsm.image(img1)
-        states = {s["watch.state"] for s in fsm.states_iter(img2)}
+        img1 = product.image(product.init)
+        img2 = product.image(img1)
+        states = {s["watch.state"] for s in product.states_iter(img2)}
         assert states == {"B"}
 
     def test_attach_rejects_nondeterministic(self):
@@ -167,7 +167,7 @@ class TestAttach:
         fsm = fresh_fsm()
         aut = self._mutex_automaton()
         monitor = attach(fsm, aut)
-        fsm.build_transition()
+        monitor.fsm.build_transition()
         pairs = monitor.rabin_pairs_bdd()
         assert len(pairs) == 1
         assert pairs[0].inf != fsm.bdd.false

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import CliError, HsisShell
+from repro.models import get_spec
+from repro.network import SymbolicFsm
+from repro.pif import PifFile
 
 VERILOG = """
 module toggle;
@@ -153,6 +156,70 @@ class TestVerificationFlow:
         shell.execute(f"read_pif {files['pif']}")
         out = shell.execute("debug_mc can_reach_two")
         assert "holds" in out
+
+
+def _write_design(name, tmp_path):
+    spec = get_spec(name)
+    design, props = tmp_path / f"{name}.v", tmp_path / f"{name}.pif"
+    design.write_text(spec.verilog)
+    props.write_text(spec.pif_text)
+    return str(design), str(props)
+
+
+def _counting(monkeypatch, owner, attr):
+    """Record the first argument of every call to ``owner.attr``."""
+    calls = []
+    original = getattr(owner, attr)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+class TestOneMachine:
+    def test_fairness_bound_once(self, tmp_path, monkeypatch):
+        """mc, debug_mc, bisim and lc share one binding of the PIF
+        fairness on the loaded machine."""
+        design, props = _write_design("rrarbiter", tmp_path)
+        binds = _counting(monkeypatch, PifFile, "bind_fairness")
+        shell = HsisShell()
+        shell.execute(f"read_verilog {design}")
+        shell.execute(f"read_pif {props}")
+        names = [name for name, _formula in shell.pif.ctl_props]
+        outputs = [shell.execute(command) for command in [
+            "mc", f"debug_mc {names[0]}", f"debug_mc {names[1]}", "bisim", "lc",
+        ]]
+        assert len(binds) == 1
+        assert "FAILED" not in "\n".join(outputs)
+        shell.execute(f"read_pif {props}")
+        shell.execute("mc")
+        assert len(binds) == 2  # a new PIF is bound anew
+
+    def test_lc_checks_the_loaded_machine(self, tmp_path, monkeypatch):
+        design, props = _write_design("scheduler", tmp_path)
+        machines = _counting(monkeypatch, SymbolicFsm, "__init__")
+        shell = HsisShell()
+        shell.execute(f"read_verilog {design}")
+        shell.execute(f"read_pif {props}")
+        out = shell.execute("lc")
+        assert out.count(": passed") == 2
+        assert machines == [shell.fsm]
+
+    def test_lc_leaves_no_product_nodes_behind(self, tmp_path):
+        """Each lc product's nodes are collected after its report, so
+        they do not stay in the loaded machine's table."""
+        design, props = _write_design("scheduler", tmp_path)
+        shell = HsisShell()
+        shell.execute(f"read_verilog {design}")
+        shell.execute(f"read_pif {props}")
+        assert "FAILED" not in shell.execute("lc")
+        bdd = shell.fsm.bdd
+        live = len(bdd)
+        assert bdd.gc() == 0 and len(bdd) == live
+        assert live < bdd.peak_live_nodes
 
 
 class TestSimulation:

@@ -14,6 +14,7 @@ from repro.debug import (
 )
 from repro.lc import check_containment
 from repro.network import SymbolicFsm
+from repro.trace import Tracer
 
 CHAIN = """
 .model chain
@@ -105,6 +106,34 @@ class TestLcCounterexample:
                 break
         assert depth is not None
         assert len(trace.prefix) == depth
+
+    def test_early_failure_reaches_once(self, monkeypatch):
+        """The early stop ends the one reachability run at its depth, and
+        the lasso replays against the rings that run kept."""
+        runs = []
+        reachable = SymbolicFsm.reachable
+
+        def counting(fsm, *args, **kwargs):
+            runs.append(fsm)
+            return reachable(fsm, *args, **kwargs)
+
+        monkeypatch.setattr(SymbolicFsm, "reachable", counting)
+        tracer = Tracer()
+        result = check_containment(SymbolicFsm(chain_model(), tracer=tracer),
+                                   bad_automaton())
+        assert result.early_failure and runs == [result.fsm]
+        (stop,) = [e for e in tracer.events if e["name"] == "lc.early_stop"]
+        depth = stop["args"]["depth"]
+        assert result.reach.iterations == depth
+        assert len(result.reach.rings) == depth + 1
+        assert not result.reach.converged
+        trace = lc_counterexample(result)
+        fsm = result.fsm
+        steps = trace.prefix + trace.cycle
+        assert fsm.bdd.and_(fsm.init, fsm.state_cube(steps[0].state)) != fsm.bdd.false
+        for a, b in zip(steps, steps[1:]):
+            assert step_is_transition(fsm, a, b)
+        assert step_is_transition(fsm, steps[-1], trace.cycle[0])
 
     def test_error_on_passing_property(self):
         aut = Automaton(name="trivial", states=["A"], initial=["A"])

@@ -90,6 +90,43 @@ def _lc_results(spec, config):
     return out
 
 
+def _one_machine_results(spec, config):
+    """Every automaton, twice, then every CTL property, all on one
+    machine whose bound fairness is rooted for as long as it is used."""
+    fsm = SymbolicFsm(spec.flat(), config=config)
+    fairness = spec.pif.bind_fairness(fsm)
+    fsm.bdd.keep(fairness.nodes)
+    out = []
+    for automaton in spec.pif.automata * 2:
+        result = check_containment(fsm, automaton, system_fairness=fairness)
+        out.append((automaton.name, result.holds,
+                    result.fsm.count_states(result.reach.reached)))
+    checker = ModelChecker(fsm, fairness=fairness)
+    for _name, formula in spec.pif.ctl_props:
+        result = checker.check(formula)
+        out.append((str(formula), result.holds,
+                    fsm.count_states(result.satisfying)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["rrarbiter", "traffic"])
+def test_one_machine_survives_forced_gc(name):
+    """LC products and the CTL checker share one machine and its manager
+    under a collection at every safe point, and answer as fresh machines
+    do."""
+    spec = GALLERY[name]()
+    forced = _one_machine_results(spec, EngineConfig(auto_gc=1))
+    fresh = []
+    for automaton in spec.pif.automata:
+        fsm = SymbolicFsm(spec.flat())
+        result = check_containment(
+            fsm, automaton, system_fairness=spec.pif.bind_fairness(fsm))
+        fresh.append((automaton.name, result.holds,
+                      result.fsm.count_states(result.reach.reached)))
+    assert forced == fresh * 2 + _ctl_results(spec, DEFAULT_CONFIG)[
+        :len(spec.pif.ctl_props)]
+
+
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_gallery_verdicts_survive_forced_gc(name, search_gc_runs):
     spec = GALLERY[name]()
@@ -360,3 +397,54 @@ def test_shell_session_survives_forced_gc(name, tmp_path):
     every safe point."""
     forced = _shell_session(name, EngineConfig(auto_gc=1), tmp_path)
     assert forced == _shell_session(name, DEFAULT_CONFIG, tmp_path)
+
+
+def test_shell_roots_its_bound_fairness(tmp_path):
+    """The shell binds the PIF fairness once and roots it itself: lc
+    holds it only while it runs, so the collections of the later
+    build_tr and comp_reach must keep it for mc and the second lc."""
+    commands = ["lc", "build_tr", "comp_reach", "mc", "mc EG turn=2", "lc",
+                "mc"]
+    spec = get_spec("rrarbiter")
+    (tmp_path / "rr.v").write_text(spec.verilog)
+    (tmp_path / "rr.pif").write_text(spec.pif_text)
+    outputs = []
+    for config in (EngineConfig(auto_gc=1), DEFAULT_CONFIG):
+        shell = HsisShell(config=config)
+        shell.execute(f"read_verilog {tmp_path / 'rr.v'}")
+        shell.execute(f"read_pif {tmp_path / 'rr.pif'}")
+        out = [shell.execute(commands[0])]
+        bdd = shell.fsm.bdd
+        bdd.gc()
+        x_bits = set(shell.fsm.x_bits())
+        assert all(set(bdd.support(node)) <= x_bits
+                   for node in shell.fairness.nodes())  # no freed slot
+        out += [shell.execute(command) for command in commands[1:]]
+        outputs.append([_normalized(text) for text in out])
+    assert outputs[0] == outputs[1]
+
+
+def test_shell_reach_survives_a_stopped_invariant_search(tmp_path):
+    """A failing ``AG p`` stops its search at the first bad frontier; the
+    shell's completed comp_reach must stay rooted past it, even when the
+    cached checker was built before comp_reach and so does not hold it."""
+    commands = ["mc EF cross_l=green", "comp_reach", "mc AG main_l=green",
+                "mc EF main_l=yellow"]
+    spec = get_spec("traffic")
+    (tmp_path / "t.v").write_text(spec.verilog)
+    (tmp_path / "t.pif").write_text(spec.pif_text)
+    outputs = []
+    for config in (EngineConfig(auto_gc=1), DEFAULT_CONFIG):
+        shell = HsisShell(config=config)
+        shell.execute(f"read_verilog {tmp_path / 't.v'}")
+        shell.execute(f"read_pif {tmp_path / 't.pif'}")
+        out = [shell.execute(command) for command in commands]
+        assert "FAILED" in out[2]
+        bdd = shell.fsm.bdd
+        bdd.gc()
+        reached = shell.reach.reached
+        assert set(bdd.support(reached)) <= set(shell.fsm.x_bits())
+        out.append(shell.execute("print_stats"))
+        outputs.append([_normalized(text) for text in out])
+    assert outputs[0] == outputs[1]
+    assert "reached states:" in outputs[0][-1]

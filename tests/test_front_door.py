@@ -24,7 +24,7 @@ from repro.ctl.modelcheck import ModelChecker
 from repro.models import design_source, engine_input, get_spec, read_design
 from repro.network.fsm import SymbolicFsm
 from repro.ordering_portfolio import OrderCache, run_portfolio_check
-from repro.parallel import check_properties
+from repro.parallel import check_properties, check_within
 from repro.perf import EngineStats
 from repro.pif import parse_pif
 from repro.serve import HsisServer, ServeClient
@@ -218,6 +218,24 @@ def test_timeout_is_honoured_at_one_job(model, monkeypatch, properties):
     assert [v.status for v in verdicts] == ["timeout"] * properties
     assert all(v.holds is None for v in verdicts)
     assert time.monotonic() - start < 4.0 * properties
+
+
+@needs_fork
+def test_whole_list_deadline_is_one_task(model, monkeypatch):
+    """``check_within`` runs the in-process check as one pool task: an
+    error keeps its own verdict, and an overrun times out every
+    property at once."""
+    pif = parse_pif(PIF + "ctl unknown :: AG nosuchnet=1\n")
+    verdicts = check_within(model, pif.ctl_props, pif.fairness, deadline=60.0)
+    assert [(v.name, v.status) for v in verdicts] == [
+        (v.name, v.status)
+        for v in check_properties(model, pif.ctl_props, pif.fairness)
+    ]
+    monkeypatch.setattr(ModelChecker, "check", _slow_check)
+    start = time.monotonic()
+    verdicts = check_within(model, pif.ctl_props, pif.fairness, deadline=0.3)
+    assert [v.status for v in verdicts] == ["timeout"] * 4
+    assert time.monotonic() - start < 4.0
 
 
 @needs_fork

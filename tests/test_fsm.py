@@ -57,11 +57,15 @@ class TestTransitionRelation:
         assert fsm.quantify_result.peak_size >= 2
 
     def test_frozen_after_build(self):
+        """A built machine stays as it is when a product extends it."""
         fsm = build(COUNTER)
-        with pytest.raises(BddError):
-            fsm.add_state_var("extra", ["0", "1"], ["0"])
-        with pytest.raises(BddError):
-            fsm.add_conjunct(fsm.bdd.true, "late")
+        before = (list(fsm.latches), list(fsm.conjuncts), fsm.init, fsm.trans)
+        x, y = fsm.mdd.declare_pair("extra", "extra#n", ["0", "1"])
+        product = fsm.product(x, y, ["0"], fsm.bdd.and_(fsm.init, x.literal("0")),
+                              fsm.bdd.true, "late")
+        assert len(product.latches) == len(fsm.latches) + 1
+        assert product.trans is None
+        assert (fsm.latches, fsm.conjuncts, fsm.init, fsm.trans) == before
 
 
 class TestImages:
@@ -123,16 +127,32 @@ class TestReachability:
                 if fsm.bdd.and_(ring, s2) != fsm.bdd.false]
         assert hits == [2]
 
-    def test_max_iterations(self):
+    def test_observer_ends_search(self):
         fsm = build(COUNTER)
-        result = fsm.reachable(max_iterations=1)
+        result = fsm.reachable(observer=lambda depth, frontier, reached: depth == 1)
         assert not result.converged
+        assert result.iterations == 1 and len(result.rings) == 2
         assert fsm.count_states(result.reached) == 2
+
+    def test_stopped_search_keeps_converged_one_rooted(self):
+        fsm = build(COUNTER)
+
+        def stop(depth, frontier, reached):
+            return depth == 1
+
+        partial = fsm.reachable(observer=stop)
+        assert {partial.reached, *partial.rings} <= set(fsm.live_handles())
+        full = fsm.reachable()
+        fsm.reachable(observer=stop)
+        roots = set(fsm.live_handles())
+        assert {full.reached, *full.rings} <= roots
+        fsm.bdd.gc()
+        assert fsm.count_states(full.reached) == 4
 
     def test_observer_called_each_depth(self):
         fsm = build(COUNTER)
         depths = []
-        fsm.reachable(observer=lambda d, f: depths.append(d))
+        fsm.reachable(observer=lambda d, f, r: depths.append(d))
         assert depths == [0, 1, 2, 3]
 
     def test_partitioned_reachability(self):
@@ -192,20 +212,25 @@ class TestStateInspection:
             fsm.var("nope")
 
 
+def monitor_product():
+    """COUNTER times a two-state monitor that starts in 'a' and always
+    moves to 'b'."""
+    fsm = SymbolicFsm(flatten(parse(COUNTER)))
+    x, y = fsm.mdd.declare_pair("mon", "mon#n", ["a", "b"])
+    init = fsm.bdd.and_(fsm.init, x.literal("a"))
+    return fsm.product(x, y, ["a"], init, y.literal("b"), "monitor:test")
+
+
 class TestMonitorHooks:
-    def test_add_state_var_extends_init(self):
-        fsm = SymbolicFsm(flatten(parse(COUNTER)))
-        x, y = fsm.add_state_var("mon", ["a", "b"], ["a"])
-        fsm.build_transition()
+    def test_product_extends_init(self):
+        product = monitor_product()
+        product.build_transition()
         # init now constrains the monitor to 'a'
-        got = fsm.pick_state(fsm.init)
+        got = product.pick_state(product.init)
         assert got["mon"] == "a"
 
     def test_monitor_conjunct_in_transition(self):
-        fsm = SymbolicFsm(flatten(parse(COUNTER)))
-        x, y = fsm.add_state_var("mon", ["a", "b"], ["a"])
-        # monitor: always move to 'b'
-        fsm.add_conjunct(y.literal("b"), "monitor:test")
-        fsm.build_transition()
-        img = fsm.image(fsm.init)
-        assert all(s["mon"] == "b" for s in fsm.states_iter(img))
+        product = monitor_product()
+        product.build_transition()
+        img = product.image(product.init)
+        assert all(s["mon"] == "b" for s in product.states_iter(img))

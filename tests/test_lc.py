@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata import (
     Automaton,
+    AutomatonError,
     FairnessSpec,
     NegativeStateSet,
     atom,
 )
 from repro.blifmv import flatten, parse
+from repro.ctl import ModelChecker
 from repro.lc import check_containment, doomed_states, language_empty
+from repro.models import get_spec
 from repro.network import SymbolicFsm
 
 TOGGLE = """
@@ -219,6 +222,71 @@ class TestResultShape:
         assert result.reach.iterations >= 0
         assert result.seconds >= 0
         assert result.monitor.automaton.name == "never1"
+
+
+class TestOneMachine:
+    """Every property of a design is checked on one machine: LC runs on a
+    product view and leaves the machine as it was."""
+
+    def test_check_leaves_built_machine_unchanged(self):
+        spec = get_spec("rrarbiter")
+        fsm = SymbolicFsm(spec.flat())
+        fsm.build_transition()
+        plan = fsm.partition_schedule()
+        reached = fsm.reachable().reached
+        before = (list(fsm.latches), list(fsm.conjuncts), fsm.init, fsm.trans)
+        fairness = spec.pif.bind_fairness(fsm)
+        for automaton in spec.pif.automata:
+            result = check_containment(fsm, automaton, system_fairness=fairness)
+            assert result.fsm is not fsm
+            assert len(result.fsm.latches) == len(fsm.latches) + 1
+        violated = check_containment(fsm, invariance("two", atom("turn", "2")))
+        assert violated.failed
+        assert (fsm.latches, fsm.conjuncts, fsm.init, fsm.trans) == before
+        assert fsm.partition_schedule() is plan
+        assert fsm.reachable().reached == reached
+
+    @pytest.mark.parametrize("name, automata, constraints",
+                             [("ping pong", 6, 0), ("scheduler", 2, 36)])
+    def test_one_machine_matches_fresh_machines(self, name, automata,
+                                                constraints):
+        spec = get_spec(name)
+        assert (len(spec.pif.automata), len(spec.pif.fairness)) == (
+            automata, constraints)
+
+        def lc(fsm, automaton, fairness):
+            result = check_containment(fsm, automaton, system_fairness=fairness)
+            return (result.holds, result.early_failure,
+                    result.fsm.count_states(result.reach.reached))
+
+        def ctl(fsm, fairness):
+            checker = ModelChecker(fsm, fairness=fairness)
+            return [checker.check(f).holds for _name, f in spec.pif.ctl_props]
+
+        fsm = SymbolicFsm(spec.flat())
+        fairness = spec.pif.bind_fairness(fsm)
+        shared = [lc(fsm, a, fairness) for a in spec.pif.automata]
+        # Attaching each automaton again reuses its declared state pair.
+        again = [lc(fsm, a, fairness) for a in spec.pif.automata]
+        shared_ctl = ctl(fsm, fairness)
+
+        fresh = []
+        for automaton in spec.pif.automata:
+            machine = SymbolicFsm(spec.flat())
+            fresh.append(lc(machine, automaton, spec.pif.bind_fairness(machine)))
+        machine = SymbolicFsm(spec.flat())
+        assert shared == again == fresh
+        assert shared_ctl == ctl(machine, spec.pif.bind_fairness(machine))
+
+    def test_same_name_other_states_is_a_clash(self):
+        fsm = SymbolicFsm(model(TOGGLE))
+        assert check_containment(fsm, invariance("watch", atom("out", "1"))).failed
+        other = Automaton(name="watch", states=["A", "B", "C"], initial=["A"])
+        for state in other.states:
+            other.add_edge(state, state)
+        other.accept_invariance(["A"])
+        with pytest.raises(AutomatonError, match="'watch.state'"):
+            check_containment(fsm, other)
 
 
 def test_engine_counters_independent_of_hash_seed():

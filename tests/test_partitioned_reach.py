@@ -57,15 +57,18 @@ def test_partitioned_schedule_planned_once(name):
 
 
 def test_partition_plan_invalidated_by_pool_changes():
+    """A product's larger pool gets a plan of its own; the machine keeps
+    its cached one."""
     flat = get_spec("traffic").flat()
     fsm = SymbolicFsm(flat)
     first = fsm.partition_schedule()
     assert fsm.partition_schedule() is first  # cached
-    extra = fsm.bdd.true
-    fsm.add_conjunct(extra, "extra")
-    second = fsm.partition_schedule()
+    x, y = fsm.mdd.declare_pair("extra", "extra#n", ["0", "1"])
+    product = fsm.product(x, y, ["0"], fsm.init, fsm.bdd.true, "extra")
+    second = product.partition_schedule()
     assert second is not first
     assert second.inputs == first.inputs + 1
+    assert fsm.partition_schedule() is first
     assert fsm.stats.counters["partitioned_plans_built"] == 2
 
 

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.blifmv import flatten, parse as parse_blifmv
+from repro.models import get_spec
 from repro.network import variable_order
 from repro.oracle import run_sweep
 from repro.ordering_portfolio import (
@@ -29,8 +30,9 @@ from repro.ordering_portfolio import (
     portfolio_order_for,
     run_portfolio_check,
 )
+from repro.ordering_portfolio.features import design_digest
 from repro.ordering_portfolio.race import _race_worker as real_race_worker
-from repro.parallel import check_properties, run_sweep_parallel
+from repro.parallel import WorkerPool, check_properties, run_sweep_parallel
 from repro.perf import EngineStats
 from repro.pif import parse_pif
 
@@ -140,6 +142,33 @@ class TestParity:
         assert warm_stats.counters["portfolio_cache_hits"] == 1
         assert "portfolio_races" not in warm_stats.counters
         assert warm_stats.meta["portfolio_source"] == "cache"
+
+    def test_warm_deadline_runs_one_task(self, tmp_path, monkeypatch):
+        """A warm check under a deadline is one pool task on one machine,
+        with the verdicts of the check without a deadline."""
+        spec = get_spec("dcnew")
+        model, pif = spec.flat(), spec.pif
+        cache = OrderCache(str(tmp_path / "orders"))
+        heuristic, order = candidate_orders(model, 1)[0]
+        cache.store(design_digest(model), heuristic, order)
+        submitted = []
+        run = WorkerPool.run
+
+        def counting(pool, tasks, *args, **kwargs):
+            submitted.extend(task.task_id for task in tasks)
+            return run(pool, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "run", counting)
+        warm, provenance = run_portfolio_check(
+            model, pif.ctl_props, pif.fairness, k=2, cache=cache,
+            timeout=300.0,
+        )
+        assert provenance["source"] == "cache"
+        assert len(submitted) == 1
+        serial = check_properties(model, pif.ctl_props, pif.fairness)
+        assert len(serial) == 7
+        assert [(v.name, v.holds, v.status) for v in warm] == [
+            (v.name, v.holds, v.status) for v in serial]
 
     def test_results_file_byte_identical_serial_cold_warm(self, tmp_path):
         """``hsis check --results`` writes the same bytes no matter how

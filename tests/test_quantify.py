@@ -302,9 +302,7 @@ def test_table1_plans_match_rescanning_reference(design):
     """Every Table-1 machine, and each of its LC product machines once
     the property monitor is attached, plans as the reference does."""
     spec = get_spec(design)
-    flat = spec.flat()
-    _assert_pools_match_reference(SymbolicFsm(flat))
+    fsm = SymbolicFsm(spec.flat())
+    _assert_pools_match_reference(fsm)
     for automaton in parse_pif(spec.pif_text).automata:
-        fsm = SymbolicFsm(flat)
-        attach(fsm, automaton)
-        _assert_pools_match_reference(fsm)
+        _assert_pools_match_reference(attach(fsm, automaton).fsm)

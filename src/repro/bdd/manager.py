@@ -1500,22 +1500,6 @@ class BDD:
                 results.append(res ^ neg)
         return results.pop()
 
-    def cofactor_cube(self, f: int, cube: int) -> int:
-        """Cofactor ``f`` by a (possibly negative-literal) cube BDD."""
-        assignment: Dict[int, bool] = {}
-        while cube >= 2:
-            c = cube & 1
-            idx = cube >> 1
-            var = self._var[idx]
-            lo = self._lo[idx] ^ c
-            if lo == FALSE:
-                assignment[var] = True
-                cube = self._hi[idx] ^ c
-            else:
-                assignment[var] = False
-                cube = lo
-        return self.restrict(f, assignment)
-
     def constrain(self, f: int, c: int) -> int:
         """Generalized cofactor (constrain) of ``f`` by care set ``c``.
 

@@ -261,7 +261,7 @@ def relation(
     result implies the domain constraint of every column.  A variable
     listed in two columns gets the intersection of its two masks.
 
-    The rows are partitioned column by column in level order, top-down
+    The rows are split column by column in level order, top-down
     and without recursion: the residual row set reached below each
     prefix of codes is a node of the multi-valued diagram, memoized as
     the sorted tuple of its rows' *suffix classes* (rows that agree on

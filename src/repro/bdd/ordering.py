@@ -32,35 +32,9 @@ evaluate.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
 from repro.bdd.manager import BDD
-
-
-def validate_permutation(
-    order: Sequence[str], names: Iterable[str]
-) -> Optional[str]:
-    """Check that ``order`` is a permutation of ``names``.
-
-    Returns ``None`` when it is, else a one-line human-readable reason
-    (missing / unknown / duplicated entries).  Shared by the explicit
-    ``encode(order=...)`` path and the ``.hsis-orders`` cache, both of
-    which must refuse to install an order that does not cover the
-    design's variables exactly.
-    """
-    wanted = set(names)
-    seen: Set[str] = set()
-    for name in order:
-        if name in seen:
-            return f"duplicate variable {name!r} in order"
-        seen.add(name)
-    unknown = seen - wanted
-    if unknown:
-        return f"unknown variable(s) in order: {', '.join(sorted(unknown))}"
-    missing = wanted - seen
-    if missing:
-        return f"order misses variable(s): {', '.join(sorted(missing))}"
-    return None
 
 
 def affinity_order(

@@ -187,10 +187,9 @@ class HsisShell:
         )
 
     def cmd_comp_reach(self, args: List[str]) -> str:
-        """comp_reach [--partitioned] — compute the reachable states."""
+        """comp_reach — compute the reachable states."""
         fsm = self._need_fsm()
-        partitioned = "--partitioned" in args
-        self.reach = fsm.reachable(partitioned=partitioned)
+        self.reach = fsm.reachable()
         return (
             f"reached {fsm.count_states(self.reach.reached)} states in "
             f"{self.reach.iterations} iterations ({self.reach.seconds:.2f}s)"
@@ -547,16 +546,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-#: Per-trial budget of ``hsis fuzz --jobs``: a worker's chunk of k trials
-#: is stopped after k times this many seconds, and its seeds are reported
-#: as ``crash`` divergences.  The slowest of 1,200 trials measured took
-#: 0.17 s (under ``--auto-reorder 20``).
+#: Per-trial budget of ``hsis fuzz`` at every ``--jobs``: a worker's chunk
+#: of k trials is stopped after k times this many seconds, and its seeds
+#: are reported as ``crash`` divergences.  The slowest of 1,200 trials
+#: measured took 0.17 s (under ``--auto-reorder 20``).
 FUZZ_TRIAL_SECONDS = 10.0
 
 
 def _fuzz_main(argv: List[str]) -> int:
     """``hsis fuzz`` — run the differential fuzz sweep from the shell."""
-    from repro.oracle import run_sweep
+    from repro.parallel import run_sweep_parallel
     from repro.perf import EngineStats
 
     parser = argparse.ArgumentParser(
@@ -589,9 +588,12 @@ def _fuzz_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
-        help="shard the seed range across N worker processes (default 1)",
+        help=(
+            "run the seed range in chunks on up to N worker processes "
+            "at a time (default 1)"
+        ),
     )
-    add_flags(parser, ("auto_gc", "auto_reorder", "portfolio", "shared_shapes"))
+    add_flags(parser, ("auto_gc", "auto_reorder", "shared_shapes"))
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help=(
@@ -610,30 +612,17 @@ def _fuzz_main(argv: List[str]) -> int:
             for div in report.divergences:
                 print(div, file=sys.stderr)
 
-    if opts.jobs > 1:
-        from repro.parallel import run_sweep_parallel
-
-        sweep = run_sweep_parallel(
-            opts.trials,
-            seed0=opts.seed,
-            jobs=opts.jobs,
-            trial_timeout=FUZZ_TRIAL_SECONDS,
-            stats=stats,
-            corpus_dir=opts.corpus,
-            shrink=not opts.no_shrink,
-            progress=progress,
-            config=config,
-        )
-    else:
-        sweep = run_sweep(
-            opts.trials,
-            seed0=opts.seed,
-            stats=stats,
-            corpus_dir=opts.corpus,
-            shrink=not opts.no_shrink,
-            progress=progress,
-            config=config,
-        )
+    sweep = run_sweep_parallel(
+        opts.trials,
+        seed0=opts.seed,
+        jobs=opts.jobs,
+        trial_timeout=FUZZ_TRIAL_SECONDS,
+        stats=stats,
+        corpus_dir=opts.corpus,
+        shrink=not opts.no_shrink,
+        progress=progress,
+        config=config,
+    )
     print(sweep.summary())
     if opts.stats:
         print(stats.format())
@@ -663,22 +652,17 @@ def _check_main(argv: List[str]) -> int:
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="check up to N properties concurrently (default 1)",
     )
-    add_flags(parser, ("portfolio", "shared_shapes"), shared_shapes=True)
-    parser.add_argument(
-        "--orders-dir", default=None, metavar="DIR",
-        help="winning-order cache directory (default .hsis-orders)",
-    )
+    add_flags(parser, ("shared_shapes",), shared_shapes=True)
     parser.add_argument(
         "--results", default=None, metavar="FILE",
         help=(
             "write the verdicts as deterministic JSON (no timings), "
-            "byte-identical across --jobs/--portfolio settings"
+            "byte-identical across --jobs settings"
         ),
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-property deadline (with --portfolio, the whole list's); "
-             "overrunning checks report as timeout",
+        help="per-property deadline; overrunning checks report as timeout",
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -703,34 +687,15 @@ def _check_main(argv: List[str]) -> int:
     stats = EngineStats()
     if opts.trace:
         stats.tracer = Tracer()
-    if config.portfolio is not None:
-        from repro.ordering_portfolio import DEFAULT_ORDERS_DIR, run_portfolio_check
-
-        verdicts, provenance = run_portfolio_check(
-            model,
-            pif.ctl_props,
-            pif.fairness,
-            k=config.portfolio,
-            orders_dir=opts.orders_dir or DEFAULT_ORDERS_DIR,
-            stats=stats,
-            timeout=opts.timeout,
-            config=config,
-        )
-        print(
-            f"portfolio: {provenance['source']} "
-            f"(heuristic {provenance['heuristic']}, "
-            f"{provenance['candidates']} candidate(s))"
-        )
-    else:
-        verdicts = check_properties(
-            model,
-            pif.ctl_props,
-            pif.fairness,
-            jobs=opts.jobs,
-            stats=stats,
-            timeout=opts.timeout,
-            config=config,
-        )
+    verdicts = check_properties(
+        model,
+        pif.ctl_props,
+        pif.fairness,
+        jobs=opts.jobs,
+        stats=stats,
+        timeout=opts.timeout,
+        config=config,
+    )
     _print_verdicts(verdicts)
     passed = sum(1 for v in verdicts if v.holds is True)
     failed = sum(1 for v in verdicts if v.holds is False)
@@ -743,7 +708,7 @@ def _check_main(argv: List[str]) -> int:
         from repro.parallel import atomic_write_json
 
         # Only deterministic fields: identical bytes regardless of
-        # jobs/portfolio/timing (the parity tests assert this).
+        # jobs/timing (the parity tests assert this).
         atomic_write_json(
             opts.results,
             {
@@ -788,10 +753,6 @@ def _profile_main(argv: List[str]) -> int:
         help="early-quantification schedule (greedy|linear|monolithic)",
     )
     parser.add_argument(
-        "--partitioned", action="store_true",
-        help="use the partitioned image (never build the monolithic T)",
-    )
-    parser.add_argument(
         "--no-mc", action="store_true",
         help="skip model checking even when properties are available",
     )
@@ -809,7 +770,7 @@ def _profile_main(argv: List[str]) -> int:
     tracer = Tracer()
     fsm, reach, verdicts = profile_model(
         model, None if opts.no_mc else pif, method=opts.method,
-        partitioned=opts.partitioned, config=config, tracer=tracer,
+        config=config, tracer=tracer,
     )
     print(
         f"profile {name}: {fsm.count_states(reach.reached)} states reached "
@@ -867,13 +828,6 @@ def _serve_main(argv: List[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--orders-dir", default=None, metavar="DIR",
-        help=(
-            "winning-order cache for portfolio check jobs "
-            "(default .hsis-orders)"
-        ),
-    )
-    parser.add_argument(
         "--timeout", type=float, default=300.0, metavar="SECONDS",
         help="per-job deadline enforced by worker reaping (default 300)",
     )
@@ -908,7 +862,6 @@ def _serve_main(argv: List[str]) -> int:
                 opts.cache_max_mib * 1024 * 1024
                 if opts.cache_max_mib is not None else None
             ),
-            orders_dir=opts.orders_dir,
         )
         try:
             await server.start()
@@ -969,7 +922,6 @@ def _client_main(argv: List[str]) -> int:
     p_profile = sub.add_parser("profile", help="reachability profile")
     p_profile.add_argument("design", help=".mv/.v file or gallery:NAME")
     p_profile.add_argument("--method", default=None, metavar="M")
-    p_profile.add_argument("--partitioned", action="store_true", default=None)
     for kind, defaults in KNOB_DEFAULTS.items():
         p = sub.choices[kind]
         # The settings a job kind accepts; unset means the server default.

@@ -30,22 +30,20 @@ class EngineConfig:
       many nodes were created since the last collection.
     * ``cache_limit`` — bound the computed cache to this many rows.
     * ``auto_reorder`` — arm dynamic sifting past this many live nodes.
-    * ``portfolio`` — width K of the variable-ordering portfolio.
     * ``shared_shapes`` — encode each subcircuit shape once and build
       its other instances by variable substitution.
 
-    The kernel reads the first three; ``portfolio`` and
-    ``shared_shapes`` steer the front ends that build the engine.
+    The kernel reads the first three; ``shared_shapes`` steers the
+    front ends that build the engine.
     """
 
     auto_gc: Optional[int] = None
     cache_limit: Optional[int] = None
     auto_reorder: Optional[int] = None
-    portfolio: Optional[int] = None
     shared_shapes: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("auto_gc", "cache_limit", "auto_reorder", "portfolio"):
+        for name in ("auto_gc", "cache_limit", "auto_reorder"):
             value = getattr(self, name)
             if value is not None and (
                 isinstance(value, bool) or not isinstance(value, int) or value < 1
@@ -111,12 +109,6 @@ FLAGS: Dict[str, tuple] = {
         "--auto-reorder", int, "N",
         "arm dynamic variable reordering (sifting at engine safe points) "
         "once the BDD table exceeds N live nodes",
-    ),
-    "portfolio": (
-        "--portfolio", int, "K",
-        "use the first K ordering-portfolio heuristics: check races K "
-        "candidate variable orders and remembers the winner per design; "
-        "fuzz runs trial i under heuristic i mod K (see docs/ordering.md)",
     ),
     "shared_shapes": (
         "--shared-shapes", bool, None,

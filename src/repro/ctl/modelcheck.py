@@ -16,7 +16,8 @@ paper's optimizations are implemented:
 * **Invariance fast path** — ``AG p`` with propositional ``p`` is checked
   by forward reachability with per-frontier early failure detection
   (§5.2 item 3 and §5.4), which also yields shortest counterexample
-  prefixes for free.
+  prefixes for free.  Once the reached states are known, a passing
+  invariant is one ``diff`` against them.
 * **Reached-state don't cares** — with ``use_dc=True`` intermediate BDDs
   are minimized against the reachable care set using Coudert-Madre
   restrict (§1 item 3).
@@ -334,9 +335,25 @@ class ModelChecker:
         return result
 
     def _check_invariant(self, formula: AG) -> CtlResult:
-        """Forward reachability with per-frontier property checks (§5.4)."""
+        """Forward reachability with per-frontier property checks (§5.4).
+
+        With the reached states known, a passing invariant costs one
+        ``diff``; only a failing one searches again, for its depth."""
         bdd = self.bdd
         good = self.eval(formula.sub)
+        if self._reached is not None:
+            # Every reachable state only visits reachable states, all of
+            # which satisfy the body, so the whole reached set models AG p.
+            sat = bdd.and_(self._reached, self.space)
+            if bdd.diff(sat, good) == bdd.false:
+                return CtlResult(
+                    formula=formula,
+                    holds=True,
+                    satisfying=sat,
+                    failing_init=bdd.diff(self.fsm.init, sat),
+                    seconds=0.0,
+                    used_fast_path=True,
+                )
         bad_depth: List[int] = []
 
         def bad_frontier(depth: int, frontier: int, reached: int) -> bool:
@@ -355,8 +372,6 @@ class ModelChecker:
             failing = self.fsm.init
         else:
             self._reached = reached
-            # Every reachable state only visits reachable states, all of
-            # which satisfy the body, so the whole reached set models AG p.
             sat = bdd.and_(reached, self.space)
             failing = bdd.diff(self.fsm.init, sat)
         return CtlResult(

@@ -105,9 +105,8 @@ def read_design(
 
 def engine_input(design: Design, config: EngineConfig = DEFAULT_CONFIG):
     """What the engine encodes for ``design``: its elaboration when
-    ``shared_shapes`` is on and no portfolio runs (the portfolio reads
-    its features off the flat model), its flat model otherwise."""
-    if config.shared_shapes and config.portfolio is None:
+    ``shared_shapes`` is on, its flat model otherwise."""
+    if config.shared_shapes:
         return elaborate(design)
     return flatten(design)
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.manager import BDD
 from repro.bdd.mdd import MddManager, MvVar
-from repro.bdd.ordering import affinity_order, validate_permutation
+from repro.bdd.ordering import affinity_order
 from repro.blifmv.ast import (
     ANY,
     Any_,
@@ -97,7 +97,6 @@ def encode(
     model: Model,
     order_method: str = "affinity",
     config: EngineConfig = DEFAULT_CONFIG,
-    order: Optional[List[str]] = None,
     elaboration: Optional[Elaboration] = None,
     stats=None,
 ) -> EncodedNetwork:
@@ -105,11 +104,7 @@ def encode(
 
     ``order_method`` is ``"affinity"`` (interacting-FSM heuristic) or
     ``"declared"`` (first-use order; the naive baseline for the ordering
-    ablation).  ``order`` overrides both with an explicit permutation of
-    the model's declared variables (the ordering portfolio races such
-    candidates; see :mod:`repro.ordering_portfolio`) — latch outputs in
-    the order still get their present/next bits interleaved.  ``config``
-    configures the kernel's self-management (see
+    ablation).  ``config`` configures the kernel's self-management (see
     :class:`repro.bdd.manager.BDD`).
 
     ``elaboration`` (from :func:`repro.blifmv.elaborate`) switches on
@@ -126,13 +121,7 @@ def encode(
     if elaboration is not None and elaboration.flat is not model:
         raise BlifMvError("encode(): model must be elaboration.flat")
     model.validate()
-    if order is not None:
-        problem = validate_permutation(order, model.declared_variables())
-        if problem is not None:
-            raise BlifMvError(f"explicit variable order rejected: {problem}")
-        order = list(order)
-        order_method = "explicit"
-    elif order_method == "affinity":
+    if order_method == "affinity":
         if elaboration is not None and len(elaboration.instances) > 1:
             order = shape_variable_order(elaboration)
             order_method = "shape"

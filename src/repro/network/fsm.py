@@ -6,8 +6,6 @@ wraps an :class:`~repro.network.encode.EncodedNetwork` and provides:
 * product transition-relation construction ``T(x, y)`` with a selectable
   early-quantification schedule (paper §4),
 * forward/backward image with the present/next rename maps,
-* a *partitioned* image that never builds the monolithic ``T`` (paper
-  §8 future-work item 4, implemented),
 * breadth-first reachability that records the frontier "onion rings"
   needed by the debuggers to extract shortest error-trace prefixes,
 * state counting and enumeration in terms of the original multi-valued
@@ -30,14 +28,7 @@ from repro.blifmv.ast import Model
 from repro.blifmv.hierarchy import Elaboration
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.network.encode import EncodedNetwork, LatchVars, encode
-from repro.network.quantify import (
-    Conjunct,
-    ImageSchedule,
-    QuantifyResult,
-    execute_schedule,
-    multiply_and_quantify,
-    plan_schedule,
-)
+from repro.network.quantify import Conjunct, QuantifyResult, multiply_and_quantify
 from repro.perf import EngineStats
 from repro.trace.tracer import Tracer
 
@@ -65,7 +56,6 @@ class SymbolicFsm:
         order_method: str = "affinity",
         config: EngineConfig = DEFAULT_CONFIG,
         tracer: Optional[Tracer] = None,
-        order: Optional[List[str]] = None,
     ):
         self.stats = EngineStats()
         if tracer is not None:
@@ -81,7 +71,6 @@ class SymbolicFsm:
                 model,
                 order_method=order_method,
                 config=config,
-                order=order,
                 elaboration=elaboration,
                 stats=self.stats,
             )
@@ -100,8 +89,6 @@ class SymbolicFsm:
         self.init = init
         self.trans: Optional[int] = None
         self.quantify_result: Optional[QuantifyResult] = None
-        # Partitioned-image schedule, planned once, replayed every iteration.
-        self._part_plan: Optional[ImageSchedule] = None
         # Image cubes and rename maps, built on first use.
         self._x_cube: Optional[int] = None
         self._y_cube: Optional[int] = None
@@ -230,63 +217,6 @@ class SymbolicFsm:
         primed = self.bdd.rename(states, self.x_to_y())
         return self.bdd.and_exists(t, primed, self.y_cube())
 
-    def partition_schedule(self) -> ImageSchedule:
-        """The (cached) greedy schedule for partitioned images.
-
-        The pool, the quantify set and the elimination order depend only
-        on the conjunct supports — not on the frontier's value — so the
-        schedule is planned once and replayed every BFS iteration.  The
-        frontier slot is planned with the conservative support
-        ``x_bits`` (a superset of any concrete frontier's support, which
-        keeps early quantification sound).
-        """
-        if self._part_plan is None:
-            quantify = self.nonstate_bits() | set(self.x_bits())
-            supports = [c.support for c in self.conjuncts]
-            supports.append(frozenset(self.x_bits()))
-            # Instance conjunct groups (shared-shape encode) cluster each
-            # instance's private wires inside the instance first; a
-            # product's monitor conjunct and the frontier slot come after
-            # the network's conjuncts, so the recorded indices stay valid.
-            with self.stats.tracer.span(
-                "quantify.plan", cat="quantify",
-                method="greedy", conjuncts=len(self.conjuncts),
-            ) as span:
-                self._part_plan = plan_schedule(
-                    supports, quantify, groups=self.network.conjunct_groups
-                )
-                span.add(steps=len(self._part_plan.steps))
-            self.stats.bump("partitioned_plans_built")
-            if self.stats.tracer.enabled:
-                self.stats.tracer.instant(
-                    "fsm.partition_plan", cat="fsm",
-                    conjuncts=len(self.conjuncts),
-                    steps=len(self._part_plan.steps),
-                )
-        return self._part_plan
-
-    def image_partitioned(self, states: int) -> int:
-        """Forward image straight from the conjunct list (no monolithic T).
-
-        Implements the paper's future-work item 4 (partitioned transition
-        relations): the reached-state set is computed without ever forming
-        the product machine.  The multiply/quantify schedule is planned
-        once (:meth:`partition_schedule`) and only the frontier conjunct
-        changes between calls.
-        """
-        plan = self.partition_schedule()
-        nodes = [c.node for c in self.conjuncts]
-        nodes.append(states)
-        result = execute_schedule(self.bdd, nodes, plan)
-        self.stats.bump("partitioned_images")
-        if self.stats.tracer.enabled:
-            self.stats.tracer.instant(
-                "fsm.image_partitioned", cat="fsm",
-                plan_steps=len(plan.steps),
-                peak_size=result.peak_size,
-            )
-        return self.bdd.rename(result.node, self.y_to_x())
-
     # ------------------------------------------------------------------
     # Reachability
     # ------------------------------------------------------------------
@@ -294,7 +224,6 @@ class SymbolicFsm:
     def reachable(
         self,
         init: Optional[int] = None,
-        partitioned: bool = False,
         observer: Optional[Callable[[int, int, int], bool]] = None,
     ) -> ReachResult:
         """Breadth-first reachable states from ``init`` (default: reset states).
@@ -311,27 +240,21 @@ class SymbolicFsm:
         """
         bdd = self.bdd
         tracer = self.stats.tracer
-        if not partitioned:
-            self.require_transition()
+        self.require_transition()
         self._hard_gc_rearm = 0
         current = self.init if init is None else init
         reached = frontier = current
         rings = [current]
         iterations = 0
         converged = False
-        # The images and the observer run safe points of their own, so
-        # the loop holds its sets (current is rings[0]) throughout.
+        # The observer and the loop's own GC run safe points, so the loop
+        # holds its sets (current is rings[0]) throughout.
         hold = bdd.hold(lambda: [reached, frontier, *rings])
         with self.stats.phase("reach") as timer, hold:
             while frontier != bdd.false:
                 if observer is not None and observer(iterations, frontier, reached):
                     break
-                step = (
-                    self.image_partitioned(frontier)
-                    if partitioned
-                    else self.image(frontier)
-                )
-                frontier = bdd.diff(step, reached)
+                frontier = bdd.diff(self.image(frontier), reached)
                 iterations += 1
                 if frontier == bdd.false:
                     converged = True

@@ -29,10 +29,6 @@ with a GC safe point after each.  It records the peak intermediate size
 so benchmarks can compare memory behaviour, and every executed
 :class:`ScheduleStep` also emits a ``quantify.step`` trace instant when
 the manager's tracer is enabled.
-
-Because planning needs no BDD operations, a pool that runs against a
-changing frontier every iteration (partitioned reachability) is planned
-once and its schedule replayed against fresh BDDs.
 """
 
 from __future__ import annotations

@@ -308,11 +308,7 @@ def run_case(
 
     Every symbolic engine the case spins up runs under ``config``; its
     kernel settings (``auto_gc``, ``cache_limit``, ``auto_reorder``)
-    must not change a verdict.  ``portfolio`` (K)
-    installs ordering-portfolio heuristic ``seed % K`` as the explicit
-    variable order — deterministic round-robin rather than racing, so
-    every candidate order faces the oracle across a sweep while
-    parallel and serial sweeps stay bit-identical.  ``shared_shapes``
+    must not change a verdict.  ``shared_shapes``
     additionally verifies a wrapper design instantiating the generated
     model twice: the shared-shape elaboration (second instance built by
     BDD substitution, never table-encoded) must reach exactly the same
@@ -321,11 +317,6 @@ def run_case(
     (see docs/hierarchy.md)."""
     divergences: List[Divergence] = []
     model = case["model"]
-    order = None
-    if config.portfolio:
-        from repro.ordering_portfolio import portfolio_order_for
-
-        _, order = portfolio_order_for(model, config.portfolio, seed)
     with stats.phase("fuzz.oracle"):
         kripke = ExplicitKripke(model)
         ex_reached, ex_rings = kripke.reachable()
@@ -333,10 +324,9 @@ def run_case(
 
     # -- reachability --------------------------------------------------
     with stats.phase("fuzz.reach"):
-        fsm = SymbolicFsm(model, config=config, tracer=stats.tracer,
-                          order=order)
+        fsm = SymbolicFsm(model, config=config, tracer=stats.tracer)
         fsm.build_transition(method=case["build_method"])
-        reach = fsm.reachable(partitioned=case["partitioned"])
+        reach = fsm.reachable()
         sym_reached = decode_states(fsm, reach.reached, latch_names)
         if sym_reached != ex_reached:
             divergences.append(
@@ -414,9 +404,7 @@ def run_case(
     # manager would raise the trial's peak live nodes.
     with stats.phase("fuzz.lc"):
         automaton = automaton_from_desc(case["automaton"])
-        lc_fsm = SymbolicFsm(
-            model, config=config, tracer=stats.tracer, order=order,
-        )
+        lc_fsm = SymbolicFsm(model, config=config, tracer=stats.tracer)
         lc_spec = fairness_spec_from_descs(lc_fsm, case["fairness"])
         lc = check_containment(
             lc_fsm, automaton, system_fairness=lc_spec,
@@ -494,12 +482,12 @@ def _shared_shape_replica_check(
     elab = elaborate(design)
     shared = SymbolicFsm(elab, config=config, tracer=stats.tracer)
     shared.build_transition(method=case["build_method"])
-    shared_reach = shared.reachable(partitioned=case["partitioned"])
+    shared_reach = shared.reachable()
     shared_count = shared.count_states(shared_reach.reached)
 
     plain = SymbolicFsm(flatten(design), config=config, tracer=stats.tracer)
     plain.build_transition(method=case["build_method"])
-    plain_reach = plain.reachable(partitioned=case["partitioned"])
+    plain_reach = plain.reachable()
     plain_count = plain.count_states(plain_reach.reached)
 
     latch_names = [latch.output for latch in elab.flat.latches]
@@ -665,14 +653,9 @@ def run_sweep(
     max_space: int = ORACLE_MAX_SPACE,
     progress=None,
     config: EngineConfig = DEFAULT_CONFIG,
-    **settings,
 ) -> SweepReport:
     """Run ``trials`` seeded trials; shrink and record any divergence.
-
-    Every engine runs under ``config``; ``settings`` override single
-    fields of it (``run_sweep(6, portfolio=4)``).
-    """
-    config = replace(config, **settings)
+    Every engine runs under ``config``."""
     stats = stats if stats is not None else EngineStats()
     sweep = SweepReport(trials=trials, seed0=seed0)
     start = time.perf_counter()

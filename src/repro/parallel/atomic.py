@@ -11,8 +11,7 @@ truncated hybrid.
 
 :class:`DigestStore` adds a digest over each entry's payload on top, so
 a reader can also tell a damaged entry from a good one; the job
-server's result cache and the ordering portfolio's order cache are
-both configurations of it.
+server's result cache is a configuration of it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 
 def atomic_write_json(path: str, payload: Any, **json_kwargs: Any) -> None:
@@ -70,10 +69,9 @@ class DigestStore:
     carries ``version``, its key under ``key_field``, a payload under
     ``payload_field`` and :func:`json_digest` of that payload under
     ``digest_field``.  :meth:`load` trusts an entry only when the key
-    and the digest re-derive (and an optional validator accepts it);
-    anything else (truncation, bit rot, a hand edit, a file renamed to
-    another key) counts as corrupt *and* as a miss, and the caller's
-    next :meth:`store` heals it.
+    and the digest re-derive; anything else (truncation, bit rot, a
+    hand edit, a file renamed to another key) counts as corrupt *and* as
+    a miss, and the caller's next :meth:`store` heals it.
 
     With ``max_bytes`` set the store is size-capped: every store evicts
     least-recently-used entries (mtime order; a hit touches its entry)
@@ -105,13 +103,11 @@ class DigestStore:
     def path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
 
-    def load(
-        self, key: str, valid: Optional[Callable[[Dict[str, Any]], bool]] = None
-    ) -> Optional[Dict[str, Any]]:
+    def load(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the verified entry for ``key``, or None.
 
         An absent or unreadable file is a plain miss; a present entry
-        that fails verification or ``valid`` is corrupt and a miss.
+        that fails verification is corrupt and a miss.
         """
         path = self.path(key)
         try:
@@ -127,7 +123,6 @@ class DigestStore:
             or entry.get(self.key_field) != key
             or self.payload_field not in entry
             or entry.get(self.digest_field) != json_digest(entry[self.payload_field])
-            or (valid is not None and not valid(entry))
         ):
             self.corrupt += 1
             self.misses += 1

@@ -1,7 +1,7 @@
 """Checking CTL properties: the one loop behind every front end.
 
-:func:`check_properties` gives ``hsis check``, the shell's ``mc --jobs``,
-the job server's check job and the ordering portfolio their verdicts.
+:func:`check_properties` gives ``hsis check``, the shell's ``mc --jobs``
+and the job server's check job their verdicts.
 In this process it builds one machine under the caller's
 :class:`~repro.config.EngineConfig`, binds the picklable fairness
 declarations once and runs :func:`check_each`, the loop itself, over
@@ -11,8 +11,7 @@ per-property ``timeout``, each property is instead a
 a machine of its own: verdicts are exactly the in-process ones, and a
 property past its deadline is reaped and reported as ``timeout``.  A
 property that raises, or whose worker fails, gets an explicit ``ERROR``
-verdict (``holds=None``); none is silently dropped.  :func:`check_within`
-(the portfolio's warm and fallback checks) puts one deadline on the list.
+verdict (``holds=None``); none is silently dropped.
 
 :func:`profile_model` is the encode -> build_tr -> reach -> MC body of
 ``hsis profile`` and the server's profile job; it and the shell's serial
@@ -76,7 +75,7 @@ class PropertyVerdict:
 
 def require_ok(verdicts: Sequence[PropertyVerdict]) -> None:
     """Raise on the first failed verdict, for callers that publish all
-    verdicts or none (portfolio candidates, the server's jobs)."""
+    verdicts or none (the server's jobs)."""
     for verdict in verdicts:
         if not verdict.ok:
             raise RuntimeError(
@@ -111,8 +110,8 @@ def check_each(
     return verdicts
 
 
-def _check_here(model, properties, fairness_decls, order,
-                config: EngineConfig, trace: bool) -> TaskResult:
+def _check_here(model, properties, fairness_decls, config: EngineConfig,
+                trace: bool) -> TaskResult:
     """One machine built here checks every property.  Also the pool's
     task body: the verdicts and the machine's stats (without its kernel
     handle) are picklable."""
@@ -120,7 +119,7 @@ def _check_here(model, properties, fairness_decls, order,
     if trace:
         stats.tracer = Tracer()
     try:
-        fsm = SymbolicFsm(model, config=config, tracer=stats.tracer, order=order)
+        fsm = SymbolicFsm(model, config=config, tracer=stats.tracer)
         fairness = None
         if fairness_decls:
             fairness = PifFile(fairness=list(fairness_decls)).bind_fairness(fsm)
@@ -145,7 +144,6 @@ def check_properties(
     stats: Optional[EngineStats] = None,
     timeout: Optional[float] = None,
     retries: int = 1,
-    order=None,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> List[PropertyVerdict]:
     """Check every ``(name, formula)`` pair; results in property order.
@@ -153,71 +151,39 @@ def check_properties(
     With no ``timeout`` and ``jobs <= 1`` (or a single property), one
     machine built here checks them all; otherwise each property is a
     task of a ``jobs``-worker pool (one worker at ``jobs=1``) with
-    ``timeout`` as its deadline.  Every machine is built under
-    ``config``, and under the variable ``order`` if one is given.
+    ``timeout`` as its deadline, and a task that fails gives its
+    property its status.  Every machine is built under ``config``.
     """
     properties = list(properties)
-    if timeout is None and (jobs <= 1 or len(properties) < 2):
-        return check_within(model, properties, fairness_decls, stats=stats,
-                            order=order, config=config)
-    return _check_in_pool(model, [[prop] for prop in properties],
-                          fairness_decls, order, config, stats, jobs,
-                          timeout, retries)
-
-
-def check_within(model, properties: Sequence[Tuple[str, Formula]],
-                 fairness_decls=(), deadline: Optional[float] = None,
-                 stats: Optional[EngineStats] = None, order=None,
-                 config: EngineConfig = DEFAULT_CONFIG,
-                 ) -> List[PropertyVerdict]:
-    """One machine checks every property: here, or, with ``deadline``
-    (seconds) bounding the whole list, in one pool task with no retry,
-    where an overrun marks every property ``timeout``.  Either way a
-    property that errors gets its own verdict."""
-    properties = list(properties)
-    if deadline is not None:
-        return _check_in_pool(model, [properties], fairness_decls, order,
-                              config, stats, 1, deadline, 0)
-    result = _check_here(model, properties, fairness_decls, order, config,
-                         stats is not None and stats.tracer.enabled)
-    if stats is not None:
-        stats.merge(result.stats)
-    return result.value
-
-
-def _check_in_pool(model, groups, fairness_decls, order, config: EngineConfig,
-                   stats: Optional[EngineStats], jobs: int,
-                   timeout: Optional[float], retries: int,
-                   ) -> List[PropertyVerdict]:
-    """Each group of properties as one pool task under ``timeout``, in
-    order; a task that fails gives each of its properties its status."""
-    order = list(order) if order is not None else None
     trace = stats is not None and stats.tracer.enabled
+    if timeout is None and (jobs <= 1 or len(properties) < 2):
+        result = _check_here(model, properties, fairness_decls, config, trace)
+        if stats is not None:
+            stats.merge(result.stats)
+        return result.value
     tasks = [
         Task(
-            task_id=f"mc[{','.join(name for name, _formula in group)}]",
+            task_id=f"mc[{name}]",
             fn=_check_here,
-            args=(model, group, tuple(fairness_decls), order, config, trace),
+            args=(model, [(name, formula)], tuple(fairness_decls), config,
+                  trace),
             timeout=timeout,
         )
-        for group in groups
+        for name, formula in properties
     ]
     pool = WorkerPool(
         jobs, timeout=timeout, retries=retries,
         tracer=stats.tracer if stats is not None else None,
     )
     verdicts = []
-    for group, envelope in zip(groups, pool.run(tasks)):
+    for (name, formula), envelope in zip(properties, pool.run(tasks)):
         if stats is not None and envelope.stats is not None:
             stats.merge(envelope.stats)
         if envelope.ok:
             verdicts.extend(envelope.value)
         else:
-            verdicts.extend(
-                _failed(name, formula, envelope.status, envelope.error,
-                        envelope.seconds)
-                for name, formula in group
-            )
+            verdicts.append(_failed(name, formula, envelope.status,
+                                    envelope.error, envelope.seconds))
     return verdicts
 
 
@@ -225,16 +191,14 @@ def profile_model(
     model,
     pif: Optional[PifFile] = None,
     method: str = "greedy",
-    partitioned: bool = False,
     config: EngineConfig = DEFAULT_CONFIG,
     tracer: Optional[Tracer] = None,
 ) -> Tuple[SymbolicFsm, ReachResult, List[PropertyVerdict]]:
-    """Encode, build the relation (unless ``partitioned``), reach, and
-    check ``pif``'s CTL properties within the reached states."""
+    """Encode, build the relation, reach, and check ``pif``'s CTL
+    properties within the reached states."""
     fsm = SymbolicFsm(model, config=config, tracer=tracer)
-    if not partitioned:
-        fsm.build_transition(method=method)
-    reach = fsm.reachable(partitioned=partitioned)
+    fsm.build_transition(method=method)
+    reach = fsm.reachable()
     verdicts: List[PropertyVerdict] = []
     if pif is not None and pif.ctl_props:
         checker = ModelChecker(

@@ -17,7 +17,6 @@ divergence, so the sweep verdict stays honest.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.config import DEFAULT_CONFIG, EngineConfig
@@ -83,20 +82,17 @@ def run_sweep_parallel(
     retries: int = 1,
     pool: Optional[WorkerPool] = None,
     config: EngineConfig = DEFAULT_CONFIG,
-    **settings,
 ) -> SweepReport:
     """Fan a seeded sweep across ``jobs`` workers; merge in seed order.
 
     Mirrors :func:`repro.oracle.run_sweep`'s signature and report
-    semantics, ``config`` and its per-field ``settings`` overrides
-    included.  ``trial_timeout`` is a per-trial budget in seconds: a
+    semantics.  ``trial_timeout`` is a per-trial budget in seconds: a
     chunk of ``k`` trials must finish within ``k * trial_timeout``, so
     one looping trial costs its chunk's seeds (reported as ``crash``
     divergences) instead of stalling the sweep.  ``pool`` may inject a
     preconfigured :class:`WorkerPool` (tests use this to tighten
     timeouts).
     """
-    config = replace(config, **settings)
     stats = stats if stats is not None else EngineStats()
     trace = stats.tracer.enabled
     sweep = SweepReport(trials=trials, seed0=seed0)

@@ -57,10 +57,6 @@ class EngineStats:
     #: default (near-zero overhead); ``hsis --trace`` swaps in a live
     #: :class:`~repro.trace.tracer.Tracer`.
     tracer: Tracer = field(default_factory=Tracer.disabled)
-    #: String-valued provenance facts (e.g. which ordering-portfolio
-    #: heuristic won, whether the order cache hit).  Last writer wins on
-    #: merge; numeric facts belong in ``counters``.
-    meta: Dict[str, str] = field(default_factory=dict)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[PhaseTimer]:
@@ -120,7 +116,6 @@ class EngineStats:
             mine.calls += stat.calls
         for name, amount in other.counters.items():
             self.bump(name, amount)
-        self.meta.update(other.meta)
         # Fold worker trace events in on their own tid lane.  This works
         # even when this collector's tracer is disabled, so traces
         # survive the worker -> detached stats -> parent relay.  Engines
@@ -142,8 +137,6 @@ class EngineStats:
         }
         if self.counters:
             out["counters"] = dict(self.counters)
-        if self.meta:
-            out["meta"] = dict(self.meta)
         return out
 
     def format(self) -> str:
@@ -203,7 +196,5 @@ class EngineStats:
                     f"  phase {name}: {stat.seconds:.3f}s over {stat.calls} call(s)"
                 )
         for name, value in sorted(self.counters.items()):
-            lines.append(f"  {name}: {value}")
-        for name, value in sorted(self.meta.items()):
             lines.append(f"  {name}: {value}")
         return "\n".join(lines)

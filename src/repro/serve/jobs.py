@@ -8,7 +8,7 @@ by the pool and surfaced as an explicit envelope, never a wedged
 server.  Each body keeps only its argument handling and payload: it
 reads the submission through the one design reader (:mod:`repro.models`)
 and runs the function the one-shot CLI runs (``check_properties``,
-``run_portfolio_check``, ``profile_model``, ``run_sweep``), which is
+``profile_model``, ``run_sweep``), which is
 what makes the served-vs-serial parity tests meaningful.  A property
 that errors fails its job, so no failure reaches the result cache.
 
@@ -58,24 +58,6 @@ def _detach(stats: EngineStats) -> EngineStats:
     return detached
 
 
-def _check_result(verdicts, stats: EngineStats, **extra: Any) -> TaskResult:
-    """A check job's payload.  A property that errored fails the whole
-    job instead, so no failure reaches the result cache."""
-    from repro.parallel.check import require_ok
-
-    require_ok(verdicts)
-    stats.bump("serve.properties", len(verdicts))
-    return TaskResult(
-        {
-            "verdicts": [v.to_wire() for v in verdicts],
-            "properties": len(verdicts),
-            "passed": sum(1 for v in verdicts if v.holds),
-            **extra,
-        },
-        stats,
-    )
-
-
 def run_check_job(
     design_kind: str,
     design_text: str,
@@ -83,8 +65,10 @@ def run_check_job(
     knobs: Dict[str, Any],
     trace: bool = False,
 ) -> TaskResult:
-    """Model check every CTL property of the submission on one machine."""
-    from repro.parallel.check import check_properties
+    """Model check every CTL property of the submission on one machine.
+    A property that errored fails the whole job instead, so no failure
+    reaches the result cache."""
+    from repro.parallel.check import check_properties, require_ok
 
     config = EngineConfig.of(knobs)
     model, pif = _read_submission(
@@ -93,47 +77,16 @@ def run_check_job(
     verdicts = check_properties(
         model, pif.ctl_props, pif.fairness, stats=stats, config=config,
     )
-    return _check_result(verdicts, stats)
-
-
-def run_portfolio_job(
-    design_kind: str,
-    design_text: str,
-    pif_text: Optional[str],
-    knobs: Dict[str, Any],
-    trace: bool = False,
-    orders_dir: Optional[str] = None,
-    timeout: Optional[float] = None,
-    on_pool=None,
-) -> TaskResult:
-    """A check job run as an ordering-portfolio race.
-
-    Unlike the other job bodies this does NOT run inside a pool worker:
-    pool workers are daemonic processes and may not spawn children, but
-    the race *is* a pool of K candidate workers.  The server calls this
-    directly on its job-runner thread (``HsisServer._execute``), passing
-    ``on_pool`` so the race's pool is registered for job cancellation.
-    The race workers give the job the same crash isolation a plain
-    check job gets from its single worker.
-    """
-    from repro.ordering_portfolio import DEFAULT_ORDERS_DIR, run_portfolio_check
-
-    config = EngineConfig.of(knobs)
-    model, pif = _read_submission(
-        design_kind, design_text, pif_text, config, check=True)
-    stats = _job_stats(trace)
-    verdicts, provenance = run_portfolio_check(
-        model,
-        pif.ctl_props,
-        pif.fairness,
-        k=config.portfolio,
-        orders_dir=orders_dir or DEFAULT_ORDERS_DIR,
-        stats=stats,
-        timeout=timeout,
-        on_pool=on_pool,
-        config=config,
+    require_ok(verdicts)
+    stats.bump("serve.properties", len(verdicts))
+    return TaskResult(
+        {
+            "verdicts": [v.to_wire() for v in verdicts],
+            "properties": len(verdicts),
+            "passed": sum(1 for v in verdicts if v.holds),
+        },
+        stats,
     )
-    return _check_result(verdicts, stats, portfolio=provenance)
 
 
 def run_fuzz_job(knobs: Dict[str, Any], trace: bool = False) -> TaskResult:
@@ -175,8 +128,8 @@ def run_profile_job(
     config = EngineConfig.of(knobs)
     model, pif = _read_submission(design_kind, design_text, pif_text, config)
     fsm, reach, verdicts = profile_model(
-        model, pif, method=knobs["method"], partitioned=knobs["partitioned"],
-        config=config, tracer=Tracer() if trace else None,
+        model, pif, method=knobs["method"], config=config,
+        tracer=Tracer() if trace else None,
     )
     require_ok(verdicts)
     return TaskResult(

@@ -73,16 +73,16 @@ def _settings(*names: str, **overrides: Any) -> Dict[str, Any]:
 #: any knob that changes the computation changes the key.  The engine
 #: settings among them are :class:`~repro.config.EngineConfig` fields.
 KNOB_DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "check": _settings("auto_gc", "cache_limit", "auto_reorder", "portfolio",
+    "check": _settings("auto_gc", "cache_limit", "auto_reorder",
                        "shared_shapes", shared_shapes=True),
     "fuzz": {"trials": 25, "seed": 0,
              **_settings("auto_reorder", "shared_shapes")},
-    "profile": {"method": "greedy", "partitioned": False,
+    "profile": {"method": "greedy",
                 **_settings("auto_reorder", "shared_shapes",
                             shared_shapes=True)},
 }
 
-_BOOL_KNOBS = {"partitioned", "shared_shapes"}
+_BOOL_KNOBS = {"shared_shapes"}
 _STR_KNOBS = {"method"}
 
 

@@ -114,7 +114,6 @@ class HsisServer:
         trace_dir: Optional[str] = None,
         tracer: Optional[Tracer] = None,
         cache_max_bytes: Optional[int] = None,
-        orders_dir: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -123,7 +122,6 @@ class HsisServer:
         self.memory_limit = memory_limit
         self.backlog = max(1, int(backlog))
         self.trace_dir = trace_dir
-        self.orders_dir = orders_dir
         self.cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
         self.stats = EngineStats()
         if tracer is not None:
@@ -404,8 +402,6 @@ class HsisServer:
                 else request.timeout
             )
         trace = request.stream or self.trace_dir is not None
-        if request.kind == "check" and request.knobs.get("portfolio"):
-            return self._execute_portfolio(job, timeout, trace)
         pool = WorkerPool(jobs=1, timeout=timeout, retries=0)
         job.pool = pool
         if job.cancel_requested:
@@ -424,63 +420,6 @@ class HsisServer:
         with self.stats.phase("serve.job"):
             envelopes = pool.run([task])
         return envelopes[0]
-
-    def _execute_portfolio(
-        self, job: Job, timeout: Optional[float], trace: bool
-    ) -> ResultEnvelope:
-        """Thread body for ``check`` with the ``portfolio`` knob set.
-
-        The race is a :class:`WorkerPool` of K candidate workers, and
-        pool workers (daemonic processes) may not spawn children — so
-        the race runs here on the runner thread, not inside a job
-        worker.  ``on_pool`` registers the race's pool on the job, so
-        ``cancel`` kills all K candidates at once.
-        """
-        from repro.ordering_portfolio import PortfolioCancelled
-        from repro.serve.jobs import run_portfolio_job
-
-        request = job.request
-        start = time.monotonic()
-
-        def on_pool(pool: WorkerPool) -> None:
-            job.pool = pool
-            if job.cancel_requested:
-                pool.cancel()
-
-        try:
-            with self.stats.phase("serve.job"):
-                result = run_portfolio_job(
-                    request.design_kind,
-                    request.design_text,
-                    request.pif_text,
-                    request.knobs,
-                    trace,
-                    orders_dir=self.orders_dir,
-                    timeout=timeout,
-                    on_pool=on_pool,
-                )
-        except PortfolioCancelled:
-            return ResultEnvelope(
-                task_id=job.job_id,
-                status=STATUS_CANCELLED,
-                error="job cancelled while racing candidate orders",
-                seconds=time.monotonic() - start,
-            )
-        except Exception as exc:
-            return ResultEnvelope(
-                task_id=job.job_id,
-                status=STATUS_ERROR,
-                error=f"portfolio check failed: {exc}",
-                seconds=time.monotonic() - start,
-            )
-        return ResultEnvelope(
-            task_id=job.job_id,
-            status=STATUS_OK,
-            value=result.value,
-            stats=result.stats,
-            attempts=1,
-            seconds=time.monotonic() - start,
-        )
 
     def _complete(self, job: Job, envelope: ResultEnvelope) -> None:
         job.finished = time.monotonic()

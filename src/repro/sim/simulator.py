@@ -5,10 +5,6 @@ under user control — useful for finding easy bugs before running full
 verification.  This implementation walks concrete states of the encoded
 network: from the current state it enumerates the symbolic image and
 lets the caller (or a seeded random policy) choose the successor.
-
-The simulator never builds the monolithic transition relation: each step
-is one partitioned image of a single state, so it stays cheap even on
-machines whose product relation would blow up.
 """
 
 from __future__ import annotations
@@ -80,8 +76,11 @@ class Simulator:
         """Enumerate (up to ``limit``) successors of the current state."""
         if self.current is None:
             raise ValueError("call reset() first")
+        # Building the relation runs safe points, which do not know the
+        # cube: build it before the cube exists.
+        self.fsm.require_transition()
         cube = self.fsm.state_cube(self.current)
-        image = self.fsm.image_partitioned(cube)
+        image = self.fsm.image(cube)
         return list(self.fsm.states_iter(image, limit=limit))
 
     def step(self, choice: Optional[int] = None, limit: Optional[int] = 64) -> State:

@@ -185,11 +185,6 @@ class TestCofactorsAndDontCares:
         assert bdd.restrict(f, {bdd.var_index("a"): True}) == bdd.var("b")
         assert bdd.restrict(f, {bdd.var_index("a"): False}) == bdd.var("c")
 
-    def test_cofactor_cube(self, bdd):
-        f = bdd.ite(bdd.var("a"), bdd.var("b"), bdd.var("c"))
-        cube = bdd.and_(bdd.var("a"), bdd.nvar("b"))
-        assert bdd.cofactor_cube(f, cube) == bdd.false
-
     def test_constrain_agrees_on_care_set(self, bdd):
         f = bdd.xor(bdd.var("a"), bdd.var("b"))
         care = bdd.var("a")

@@ -68,17 +68,6 @@ def test_reachable_states_closed_under_image(model):
     assert fsm.bdd.diff(image, reached) == fsm.bdd.false
 
 
-@settings(max_examples=20, deadline=None)
-@given(models())
-def test_partitioned_reachability_agrees(model):
-    fsm1 = SymbolicFsm(model)
-    full = fsm1.reachable(partitioned=True).reached
-    fsm2 = SymbolicFsm(model)
-    fsm2.build_transition()
-    mono = fsm2.reachable().reached
-    assert fsm1.count_states(full) == fsm2.count_states(mono)
-
-
 RGB = ("r", "g", "b")
 #: Domains of the validation tables' columns: inputs a, b, w and outputs
 #: o, p (undeclared names are binary).

@@ -198,6 +198,20 @@ class TestOneMachine:
         shell.execute("mc")
         assert len(binds) == 2  # a new PIF is bound anew
 
+    def test_mc_after_comp_reach_searches_no_more(self, tmp_path,
+                                                  monkeypatch):
+        """Once comp_reach has the reached states, every passing
+        invariant is answered from them: the session searches once."""
+        design, props = _write_design("gigamax", tmp_path)
+        searches = _counting(monkeypatch, SymbolicFsm, "reachable")
+        shell = HsisShell()
+        shell.execute(f"read_verilog {design}")
+        shell.execute(f"read_pif {props}")
+        shell.execute("comp_reach")
+        out = shell.execute("mc")
+        assert out.count(": passed") == len(shell.pif.ctl_props) == 9
+        assert len(searches) == 1
+
     def test_lc_checks_the_loaded_machine(self, tmp_path, monkeypatch):
         design, props = _write_design("scheduler", tmp_path)
         machines = _counting(monkeypatch, SymbolicFsm, "__init__")

@@ -1,5 +1,5 @@
 """The one engine configuration: validation, the CLI surface it
-generates, and the serve cache keys it must leave unchanged."""
+generates, and the serve cache keys it pins."""
 
 import argparse
 
@@ -18,7 +18,6 @@ class TestValidation:
             ("auto_gc", 0),
             ("cache_limit", -1),
             ("auto_reorder", 0),
-            ("portfolio", 0),
             ("auto_gc", True),
             ("cache_limit", "64"),
             ("shared_shapes", 1),
@@ -27,9 +26,9 @@ class TestValidation:
             with pytest.raises(ValueError, match=field):
                 EngineConfig(**{field: value})
 
-    def test_five_settings_with_their_defaults(self):
+    def test_four_settings_with_their_defaults(self):
         assert FIELDS == ("auto_gc", "cache_limit", "auto_reorder",
-                          "portfolio", "shared_shapes")
+                          "shared_shapes")
         assert DEFAULT_CONFIG == EngineConfig()
         assert DEFAULT_CONFIG.overrides() == {}
         assert EngineConfig(shared_shapes=True).overrides() == {
@@ -97,15 +96,15 @@ LOCAL = {
     }),
     "fuzz": (cli._fuzz_main, [], {
         "--trials", "--seed", "--corpus", "--no-shrink", "--stats", "--jobs",
-        "--auto-gc", "--auto-reorder", "--portfolio", "--shared-shapes",
+        "--auto-gc", "--auto-reorder", "--shared-shapes",
         "--no-shared-shapes", "--trace",
     }),
     "check": (cli._check_main, ["d.mv", "p.pif"], {
-        "--jobs", "--portfolio", "--orders-dir", "--results", "--timeout",
-        "--shared-shapes", "--no-shared-shapes", "--stats", "--trace",
+        "--jobs", "--results", "--timeout", "--shared-shapes",
+        "--no-shared-shapes", "--stats", "--trace",
     }),
     "profile": (cli._profile_main, ["d.mv"], {
-        "--pif", "--method", "--partitioned", "--no-mc", "--auto-reorder",
+        "--pif", "--method", "--no-mc", "--auto-reorder",
         "--shared-shapes", "--no-shared-shapes", "--trace",
     }),
 }
@@ -122,11 +121,10 @@ def test_command_option_strings(monkeypatch, name):
     ("hsis", ["--auto-gc", "5", "--cache-limit", "64", "--auto-reorder", "9"],
      EngineConfig(auto_gc=5, cache_limit=64, auto_reorder=9)),
     ("hsis", [], EngineConfig()),
-    ("fuzz", ["--auto-reorder", "20", "--portfolio", "4", "--shared-shapes"],
-     EngineConfig(auto_reorder=20, portfolio=4, shared_shapes=True)),
+    ("fuzz", ["--auto-reorder", "20", "--shared-shapes"],
+     EngineConfig(auto_reorder=20, shared_shapes=True)),
     ("fuzz", ["--no-shared-shapes"], EngineConfig()),
-    ("check", ["--portfolio", "2", "--no-shared-shapes"],
-     EngineConfig(portfolio=2)),
+    ("check", ["--no-shared-shapes"], EngineConfig()),
     ("check", [], EngineConfig(shared_shapes=True)),
     ("profile", ["--auto-reorder", "30", "--no-shared-shapes"],
      EngineConfig(auto_reorder=30)),
@@ -141,8 +139,8 @@ def test_command_builds_its_config(monkeypatch, name, argv, expected):
 
 def test_setting_flags_are_validated_by_the_config(monkeypatch, capsys):
     with pytest.raises(SystemExit):
-        _parse(monkeypatch, cli._fuzz_main, ["--portfolio", "0"])
-    assert "portfolio must be a positive integer" in capsys.readouterr().err
+        _parse(monkeypatch, cli._fuzz_main, ["--auto-gc", "0"])
+    assert "auto_gc must be a positive integer" in capsys.readouterr().err
 
 
 class _FakeClient:
@@ -165,25 +163,25 @@ class _FakeClient:
 
 
 CLIENT = {
-    "check": ({"--auto-gc", "--cache-limit", "--auto-reorder", "--portfolio",
+    "check": ({"--auto-gc", "--cache-limit", "--auto-reorder",
                "--shared-shapes", "--no-shared-shapes", "--timeout",
                "--stream"},
               ["gallery:traffic", "--auto-gc", "5", "--cache-limit", "64",
-               "--auto-reorder", "9", "--portfolio", "2", "--no-shared-shapes"],
+               "--auto-reorder", "9", "--no-shared-shapes"],
               {"auto_gc": 5, "cache_limit": 64, "auto_reorder": 9,
-               "portfolio": 2, "shared_shapes": False}),
+               "shared_shapes": False}),
     "fuzz": ({"--trials", "--seed", "--auto-reorder", "--shared-shapes",
               "--no-shared-shapes", "--timeout", "--stream"},
              ["--trials", "3", "--seed", "0", "--auto-reorder", "20",
               "--shared-shapes"],
              {"trials": 3, "seed": 0, "auto_reorder": 20,
               "shared_shapes": True}),
-    "profile": ({"--method", "--partitioned", "--auto-reorder",
+    "profile": ({"--method", "--auto-reorder",
                  "--shared-shapes", "--no-shared-shapes", "--timeout",
                  "--stream"},
-                ["gallery:traffic", "--method", "linear", "--partitioned",
+                ["gallery:traffic", "--method", "linear",
                  "--auto-reorder", "30", "--shared-shapes"],
-                {"method": "linear", "partitioned": True, "auto_reorder": 30,
+                {"method": "linear", "auto_reorder": 30,
                  "shared_shapes": True}),
 }
 
@@ -236,14 +234,13 @@ def test_shell_fuzz_passes_the_whole_config(monkeypatch):
 
 @pytest.mark.parametrize("kind, design, pif, knobs, digest", [
     ("check", "d", "p", {},
-     "585f389910c3bfa797259746b24d672adbe8449b2fc28258dd32e93deee8ac18"),
-    ("check", "d", "p",
-     {"auto_reorder": 5000, "portfolio": 2, "shared_shapes": False},
-     "e8d53561e601ad7204ba94daa769ea7e90ba23e1851e1f8c5cad09a39db77f96"),
+     "97c33807b614fdb521a2383d18dbd18f3672f897c1a7e3aeeda622aa6f020d5d"),
+    ("check", "d", "p", {"auto_reorder": 5000, "shared_shapes": False},
+     "467508066e46d9f259b17de153de583c0a1691fe9243d8b2aab4096a77f35028"),
     ("fuzz", None, None, {},
      "3f4ffcb603107c823eef5fa0f6d96efc666d451727d83bf6de7e533446b33929"),
-    ("profile", "d", None, {"method": "linear", "partitioned": True},
-     "1a7d43858c3b8b4e5645be9bb0f07e3e75d3b1b5b561a8b8e28bdf786c0dac17"),
+    ("profile", "d", None, {"method": "linear"},
+     "c767af820e7245aed1aa11639e73f9b9f33156a1fb765bed17463b65972489c5"),
 ])
 def test_cache_keys_are_pinned(kind, design, pif, knobs, digest):
     assert cache_key(kind, design, pif, canonical_knobs(kind, knobs)) == digest

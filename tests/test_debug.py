@@ -185,6 +185,22 @@ class TestCtlDebugger:
             assert step_is_transition(fsm, a, b)
         assert node.path[-1].state["s"] == "3"
 
+    def test_failing_invariant_on_known_reached_states(self):
+        """A checker that holds the reached states still searches for a
+        failing ``AG p``'s depth, and the debugger's path replays."""
+        fsm = SymbolicFsm(chain_model())
+        checker = ModelChecker(fsm, reached=fsm.reachable().reached)
+        result = checker.check("AG !(s=3)")
+        fresh = self._checker().check("AG !(s=3)")
+        assert not result.holds and result.used_fast_path
+        assert result.counterexample_depth == fresh.counterexample_depth == 3
+        assert result.failing_init == fsm.init
+        assert result.satisfying == fsm.bdd.false
+        path = CtlDebugger(checker).explain("AG !(s=3)").path
+        assert [step.state["s"] for step in path] == ["0", "1", "2", "3"]
+        for a, b in zip(path, path[1:]):
+            assert step_is_transition(fsm, a, b)
+
     def test_and_failure_points_at_failing_conjunct(self):
         dbg = CtlDebugger(self._checker())
         node = dbg.explain("s=0 & s=1")

@@ -28,6 +28,7 @@ from repro.lc.faircycle import FairGraph, all_fair_states, find_fair_scc
 from repro.models import GALLERY, get_spec
 from repro.network import SymbolicFsm
 from repro.oracle.diff import run_trial
+from repro.sim import Simulator
 
 # Extra formulas beyond the PIF files: the A[f U g] pair once freed the
 # E[..U..] half of their rewrite during the EG half's safe points.
@@ -140,13 +141,13 @@ def test_gallery_verdicts_survive_forced_gc(name, search_gc_runs):
 
 @pytest.mark.parametrize("name", ["traffic", "elevator"])
 def test_reach_rings_survive_forced_gc(name):
-    """Every BFS ring stays a root while later images collect (the
-    partitioned image runs safe points of its own)."""
+    """Every BFS ring stays a root while later iterations collect (each
+    iteration ends at a safe point)."""
     spec = GALLERY[name]()
     rings = []
     for config in (EngineConfig(auto_gc=1), DEFAULT_CONFIG):
         fsm = SymbolicFsm(spec.flat(), config=config)
-        reach = fsm.reachable(partitioned=True)
+        reach = fsm.reachable()
         rings.append([fsm.count_states(ring) for ring in reach.rings])
     assert len(rings[0]) > 2
     assert rings[0] == rings[1]
@@ -360,6 +361,21 @@ def test_two_checkers_on_one_machine_keep_their_own_sets():
     for sat, count in zip(sats, counts):
         assert set(fsm.bdd.support(sat)) <= x_bits  # not a freed slot
         assert fsm.count_states(sat) == count
+
+
+def test_simulator_walk_survives_forced_gc():
+    """A simulator on a machine with no relation yet builds it on its
+    first step, and that build's safe points must leave the walk's state
+    cube and visited set alone."""
+    spec = GALLERY["traffic"]()
+    walks = []
+    for config in (EngineConfig(auto_gc=1), DEFAULT_CONFIG):
+        fsm = SymbolicFsm(spec.flat(), config=config)
+        assert fsm.trans is None
+        sim = Simulator(fsm, seed=3)
+        walks.append((sim.run(30).states, sim.visited_count()))
+    assert len(walks[0][0]) == 31
+    assert walks[0] == walks[1]
 
 
 def _normalized(text):

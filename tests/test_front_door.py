@@ -1,8 +1,8 @@
 """One front door from design to verdicts.
 
-The shell, ``hsis check``/``profile``, the job server and the ordering
-portfolio read designs through one reader (:mod:`repro.models`) and get
-their verdicts from one check loop (:mod:`repro.parallel.check`).  These
+The shell, ``hsis check``/``profile`` and the job server read designs
+through one reader (:mod:`repro.models`) and get their verdicts from
+one check loop (:mod:`repro.parallel.check`).  These
 tests pin what that buys: unreadable input is one line on stderr and
 exit 2, ``--timeout`` holds at ``--jobs 1``, every machine a worker
 builds runs under the caller's settings, a serial check encodes its
@@ -23,12 +23,10 @@ from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.ctl.modelcheck import ModelChecker
 from repro.models import design_source, engine_input, get_spec, read_design
 from repro.network.fsm import SymbolicFsm
-from repro.ordering_portfolio import OrderCache, run_portfolio_check
-from repro.parallel import check_properties, check_within
+from repro.parallel import check_properties
 from repro.perf import EngineStats
 from repro.pif import parse_pif
 from repro.serve import HsisServer, ServeClient
-from repro.serve.jobs import run_portfolio_job
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -109,17 +107,6 @@ def test_every_form_reads_the_same_design(counter):
     spec_name, design, bundled = read_design("gallery:ping pong")
     assert (spec_name, design.root) == ("ping pong", "pingpong")
     assert bundled is not None and bundled.ctl_props
-
-
-def test_engine_input_flattens_under_a_portfolio():
-    from repro.blifmv import Elaboration, Model
-
-    design = get_spec("philos_hier").design
-    assert isinstance(engine_input(design), Model)
-    shared = EngineConfig(shared_shapes=True)
-    assert isinstance(engine_input(design, shared), Elaboration)
-    raced = EngineConfig(shared_shapes=True, portfolio=2)
-    assert isinstance(engine_input(design, raced), Model)
 
 
 # ----------------------------------------------------------------------
@@ -221,24 +208,6 @@ def test_timeout_is_honoured_at_one_job(model, monkeypatch, properties):
 
 
 @needs_fork
-def test_whole_list_deadline_is_one_task(model, monkeypatch):
-    """``check_within`` runs the in-process check as one pool task: an
-    error keeps its own verdict, and an overrun times out every
-    property at once."""
-    pif = parse_pif(PIF + "ctl unknown :: AG nosuchnet=1\n")
-    verdicts = check_within(model, pif.ctl_props, pif.fairness, deadline=60.0)
-    assert [(v.name, v.status) for v in verdicts] == [
-        (v.name, v.status)
-        for v in check_properties(model, pif.ctl_props, pif.fairness)
-    ]
-    monkeypatch.setattr(ModelChecker, "check", _slow_check)
-    start = time.monotonic()
-    verdicts = check_within(model, pif.ctl_props, pif.fairness, deadline=0.3)
-    assert [v.status for v in verdicts] == ["timeout"] * 4
-    assert time.monotonic() - start < 4.0
-
-
-@needs_fork
 def test_check_timeout_flag_at_one_job(counter, monkeypatch, capsys):
     monkeypatch.setattr(ModelChecker, "check", _slow_check)
     assert main(["check", *counter, "--timeout", "0.3"]) == 1
@@ -278,35 +247,6 @@ def test_shell_mc_jobs_workers_use_the_shell_settings(
     assert seen() == [repr(SETTINGS)] * 4  # the shell's machine + 3 workers
 
 
-@needs_fork
-def test_portfolio_machines_use_the_caller_settings(
-    model, tmp_path, monkeypatch
-):
-    seen = _config_spy(monkeypatch, tmp_path / "configs.log")
-    pif = parse_pif(PIF)
-    cache = OrderCache(str(tmp_path / "orders"))
-    for source in ("race", "cache"):
-        verdicts, provenance = run_portfolio_check(
-            model, pif.ctl_props, pif.fairness, k=2, cache=cache,
-            config=SETTINGS,
-        )
-        assert provenance["source"] == source
-        assert [v.holds for v in verdicts] == [True, True, False]
-    assert seen() and set(seen()) == {repr(SETTINGS)}
-
-
-@needs_fork
-def test_served_portfolio_job_uses_its_knobs(tmp_path, monkeypatch):
-    seen = _config_spy(monkeypatch, tmp_path / "configs.log")
-    knobs = {"portfolio": 2, "shared_shapes": True, "auto_gc": 50,
-             "cache_limit": 512, "auto_reorder": 100_000}
-    result = run_portfolio_job(
-        "blifmv", BLIFMV, PIF, knobs, orders_dir=str(tmp_path / "orders"),
-    )
-    assert result.value["passed"] == 2
-    assert seen() and set(seen()) == {repr(EngineConfig.of(knobs))}
-
-
 # ----------------------------------------------------------------------
 # Served answers equal the one-shot commands
 # ----------------------------------------------------------------------
@@ -344,7 +284,7 @@ def test_served_check_equals_check_results(tmp_path):
 
 @pytest.mark.parametrize("name, flags", [
     ("traffic", []),
-    ("railroad", ["--partitioned"]),
+    ("railroad", ["--method", "linear"]),
 ])
 def test_served_profile_equals_profile(tmp_path, capsys, name, flags):
     assert main(["profile", f"gallery:{name}", *flags]) == 0
@@ -354,7 +294,7 @@ def test_served_profile_equals_profile(tmp_path, capsys, name, flags):
     )
     local_verdicts = re.findall(r"^mc (\S+): (passed|FAILED) ", out, re.M)
     served = _serve(tmp_path, "profile", design={"gallery": name},
-                    knobs={"partitioned": bool(flags)})
+                    knobs={"method": flags[1]} if flags else {})
     assert (served["states"], served["iterations"]) == (
         int(header.group(1)), int(header.group(2)))
     assert [(v["name"], v["holds"]) for v in served["verdicts"]] == [

@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.network.fsm as fsm_mod
 from repro.bdd import BddError
 from repro.blifmv import flatten, parse
+from repro.models import get_spec
 from repro.network import SymbolicFsm
 
 COUNTER = """
@@ -93,12 +95,6 @@ class TestImages:
         back = fsm.preimage(fsm.image(s))
         assert fsm.bdd.and_(s, back) == s
 
-    def test_partitioned_image_matches(self):
-        fsm = build(BRANCHY)
-        for value in "0123":
-            s = fsm.state_cube({"s": value})
-            assert fsm.image_partitioned(s) == fsm.image(s)
-
 
 class TestReachability:
     def test_full_cycle(self):
@@ -155,15 +151,36 @@ class TestReachability:
         fsm.reachable(observer=lambda d, f, r: depths.append(d))
         assert depths == [0, 1, 2, 3]
 
-    def test_partitioned_reachability(self):
-        fsm = SymbolicFsm(flatten(parse(BRANCHY)))
-        result = fsm.reachable(partitioned=True)
-        assert fsm.count_states(result.reached) == 4
-
     def test_custom_init(self):
         fsm = build(COUNTER)
         result = fsm.reachable(init=fsm.state_cube({"s": "2"}))
         assert fsm.count_states(result.reached) == 4
+
+    def test_hard_gc_rearms_instead_of_thrashing(self, monkeypatch):
+        """A live set above the threshold must not trigger a sweep per ring."""
+        fsm = SymbolicFsm(get_spec("elevator").flat())
+        fsm.build_transition()
+        # Force the hard-GC path from the first iteration: every node count
+        # is above the threshold, which used to mean one full sweep per ring.
+        monkeypatch.setattr(fsm_mod, "GC_NODE_THRESHOLD", 1)
+        result = fsm.reachable()
+        assert result.converged
+        sweeps = fsm.stats.counters.get("reach_hard_gc", 0)
+        assert 1 <= sweeps < result.iterations, (
+            f"{sweeps} hard sweeps over {result.iterations} iterations"
+        )
+
+    def test_hard_gc_still_fires_when_table_regrows(self, monkeypatch):
+        """Re-arming must not disable hard GC outright."""
+        fsm = SymbolicFsm(get_spec("traffic").flat())
+        fsm.build_transition()
+        monkeypatch.setattr(fsm_mod, "GC_NODE_THRESHOLD", 1)
+        fsm.reachable()
+        first = fsm.stats.counters.get("reach_hard_gc", 0)
+        assert first >= 1
+        # A fresh traversal re-arms from scratch and sweeps again.
+        fsm.reachable()
+        assert fsm.stats.counters.get("reach_hard_gc", 0) > first
 
 
 class TestStateInspection:

@@ -2,7 +2,7 @@
 
 Covers the shape-signature canonicalization, the elaborate/flatten
 equivalence, the shared-shape encoder's substitution path (counters,
-reachability parity, grouped partitioned schedules), and the three
+reachability parity, grouped quantification schedules), and the three
 hierarchy bugfixes that rode along with the feature:
 
 * ``instance_tree`` raises :class:`BlifMvError` (not ``KeyError``) on
@@ -151,7 +151,7 @@ class TestSharedShapeEncode:
         assert shared.stats.counters["shapes_encoded"] == 2
         assert shared.stats.counters["instances_substituted"] == 3
 
-    def test_partitioned_reach_uses_instance_groups(self):
+    def test_instance_groups_keep_reach_parity(self):
         design = ring(3)
         elab = elaborate(design)
         shared = SymbolicFsm(elab)
@@ -163,9 +163,9 @@ class TestSharedShapeEncode:
             if i.tables[0] < i.tables[1] or i.latches[0] < i.latches[1]
         ]
         assert len(shared.network.conjunct_groups) == len(nonempty)
-        reach_s = shared.reachable(partitioned=True)
+        reach_s = shared.reachable()
         plain = SymbolicFsm(flatten(design))
-        reach_p = plain.reachable(partitioned=True)
+        reach_p = plain.reachable()
         assert shared.count_states(reach_s.reached) == \
             plain.count_states(reach_p.reached)
 

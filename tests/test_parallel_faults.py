@@ -182,10 +182,18 @@ class TestSweepFaultSurface:
             assert divergence.area == "crash"
             assert "worker" in divergence.detail
 
-    def test_looping_trial_costs_only_its_chunk(self, monkeypatch, capsys):
-        """``hsis fuzz --jobs`` gives each chunk a per-trial budget times
-        its trial count: a trial that never returns turns its own chunk's
-        seeds into ``crash`` divergences and the sweep still reports."""
+    @pytest.mark.parametrize("jobs, crashed_seeds, deadline", [
+        # 16 trials run as 4 chunks of four seeds at --jobs 1, and as 8
+        # chunks of two seeds at --jobs 2.
+        (1, [4, 5, 6, 7], "2s"),
+        (2, [4, 5], "1s"),
+    ], ids=["jobs1", "jobs2"])
+    def test_looping_trial_costs_only_its_chunk(self, monkeypatch, capsys,
+                                                jobs, crashed_seeds, deadline):
+        """``hsis fuzz`` gives each chunk a per-trial budget times its
+        trial count, at every ``--jobs``: a trial that never returns
+        turns its own chunk's seeds into ``crash`` divergences and the
+        sweep still reports."""
         from repro import cli
         from repro.oracle import diff
 
@@ -197,17 +205,18 @@ class TestSweepFaultSurface:
         monkeypatch.setattr(diff, "run_trial", trial)
         monkeypatch.setattr(cli, "FUZZ_TRIAL_SECONDS", 0.5)
         start = time.monotonic()
-        # 16 trials over 2 jobs run as 8 chunks of two seeds each.
-        code = cli._fuzz_main(["--trials", "16", "--seed", "0", "--jobs", "2"])
+        code = cli._fuzz_main(
+            ["--trials", "16", "--seed", "0", "--jobs", str(jobs)])
         assert time.monotonic() - start < STALL_BUDGET_SECONDS
         assert code == 1
         out, err = capsys.readouterr()
-        assert "2 divergence(s) in 2 trial(s)" in out
+        count = len(crashed_seeds)
+        assert f"{count} divergence(s) in {count} trial(s)" in out
         crashed = [line for line in err.splitlines() if line.startswith("[crash]")]
         assert [line.split(":")[0] for line in crashed] == [
-            "[crash] seed=4", "[crash] seed=5",
+            f"[crash] seed={seed}" for seed in crashed_seeds
         ]
-        assert all("1s deadline" in line for line in crashed)
+        assert all(f"{deadline} deadline" in line for line in crashed)
 
     def test_mixed_outcome_ordering_is_stable(self):
         """Envelopes come back in submission order even when completion

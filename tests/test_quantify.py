@@ -11,6 +11,7 @@ from repro.network.quantify import (
     METHODS,
     ImageSchedule,
     PlanStep,
+    execute_schedule,
     make_conjuncts,
     multiply_and_quantify,
     plan_linear,
@@ -282,18 +283,18 @@ def test_greedy_plan_matches_rescanning_reference(supports, quantify, owners):
 
 def _assert_pools_match_reference(fsm):
     """Both pools of ``fsm`` plan as the reference does: the
-    transition-relation pool and the partitioned-image pool (the
-    conjuncts plus a frontier slot over the state bits)."""
+    transition-relation pool, and the conjuncts plus a frontier slot
+    over the state bits with the state bits quantified too."""
     supports = [c.support for c in fsm.conjuncts]
     groups = fsm.network.conjunct_groups
     quantify = fsm.nonstate_bits()
     assert plan_schedule(supports, quantify, groups=groups) == (
         rescanning_plan_schedule(supports, quantify, groups=groups)
     )
-    frontier = frozenset(fsm.x_bits())
-    quantify = (quantify | frontier) - set(fsm.y_bits())
-    assert fsm.partition_schedule() == rescanning_plan_schedule(
-        supports + [frontier], quantify, groups=groups
+    supports = supports + [frozenset(fsm.x_bits())]
+    quantify = quantify | set(fsm.x_bits())
+    assert plan_schedule(supports, quantify, groups=groups) == (
+        rescanning_plan_schedule(supports, quantify, groups=groups)
     )
 
 
@@ -306,3 +307,35 @@ def test_table1_plans_match_rescanning_reference(design):
     _assert_pools_match_reference(fsm)
     for automaton in parse_pif(spec.pif_text).automata:
         _assert_pools_match_reference(attach(fsm, automaton).fsm)
+
+
+def test_plan_schedule_matches_greedy_result():
+    """A replayed greedy plan equals the naive product-then-quantify
+    reference, on the conjuncts it was planned for and on different
+    conjunct values whose quantified variables sit in the same slots."""
+    bdd = BDD()
+    v = [bdd.add_var(f"v{i}") for i in range(6)]
+    f = [
+        bdd.or_(bdd.var(v[0]), bdd.var(v[1])),
+        bdd.and_(bdd.var(v[1]), bdd.not_(bdd.var(v[2]))),
+        bdd.xor(bdd.var(v[2]), bdd.var(v[3])),
+        bdd.or_(bdd.var(v[3]), bdd.and_(bdd.var(v[4]), bdd.var(v[5]))),
+    ]
+    conjuncts = make_conjuncts(bdd, [(node, f"c{i}") for i, node in enumerate(f)])
+    quantify = {v[1], v[2], v[3]}
+
+    def naive(nodes):
+        return bdd.exist(sorted(quantify), bdd.conj(nodes))
+
+    plan = plan_schedule([c.support for c in conjuncts], quantify)
+    assert execute_schedule(bdd, f, plan).node == naive(f)
+    g = [bdd.and_(node, bdd.or_(bdd.var(v[0]), bdd.var(v[5]))) for node in f]
+    assert execute_schedule(bdd, g, plan).node == naive(g)
+
+
+def test_execute_schedule_rejects_wrong_arity():
+    plan = plan_schedule([frozenset({0}), frozenset({0, 1})], {0})
+    bdd = BDD()
+    bdd.add_var("a")
+    with pytest.raises(ValueError):
+        execute_schedule(bdd, [bdd.true], plan)
